@@ -65,6 +65,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fmt(value: Fraction) -> str:
     return f"{format_rational(value)} ({decimal_str(value)})"
 
@@ -246,7 +253,6 @@ def _cmd_simulate(args) -> int:
         samples=args.samples,
         seed=args.seed,
         chunk_size=args.chunk_size,
-        kernel=args.kernel,
     )
     print(
         f"samples: {report.samples}  seed: {report.seed}  "
@@ -361,11 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=montecarlo.DEFAULT_CHUNK_SIZE
     )
     simulate.add_argument(
-        "--kernel",
-        choices=("auto", "numba", "numpy"),
-        help="counting kernel (default: NEWCOMB_KERNEL or auto)",
-    )
-    simulate.add_argument(
         "--flag-threshold",
         type=float,
         default=4.0,
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--seed", type=int, default=0)
     verify_cmd.add_argument(
         "--models",
-        type=int,
+        type=_positive_int,
         default=200,
         help="random instances per property check",
     )

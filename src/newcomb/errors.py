@@ -64,10 +64,6 @@ class ZeroSamplesError(NewcombError, ValueError):
     """A simulation was requested with fewer than one sample."""
 
 
-class KernelSelectionError(NewcombError, ValueError):
-    """The requested counting kernel is unknown or cannot be loaded."""
-
-
 class ScenarioParseError(NewcombError, ValueError):
     """Input text could not be parsed (syntax, types, rational grammar)."""
 

@@ -1,30 +1,14 @@
-"""Counting kernels for the simulator.
+"""Counting kernel for the simulator.
 
-A kernel consumes a (3, m) block of uniforms and tallies samples into an
-(n, 2, 2) int64 tensor indexed by (support point, decision, box full).
-Row 0 of the uniforms selects the support point by inverse CDF, row 1
-flips the decision coin, row 2 flips the box-filling coin.
-
-Two interchangeable implementations exist: a compiled loop and a
-vectorized numpy one. They produce bit-identical counts, so the choice
-never affects results, only speed. Selection order: the `kernel`
-argument of the caller, else the NEWCOMB_KERNEL environment variable
-("numba", "numpy", or "auto"), else auto, which means numba when it
-imports and numpy otherwise.
+The kernel consumes a (3, m) block of uniforms and tallies samples into
+an (n, 2, 2) int64 tensor indexed by (support point, decision, box
+full). Row 0 of the uniforms selects the support point by inverse CDF,
+row 1 flips the decision coin, row 2 flips the box-filling coin.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable
-
 import numpy as np
-
-from .errors import KernelSelectionError
-
-KERNEL_ENV_VAR = "NEWCOMB_KERNEL"
-
-Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
 
 
 def count_cells_numpy(
@@ -37,72 +21,3 @@ def count_cells_numpy(
     box = (u[2] < om).astype(np.int64)
     flat = d * 4 + dec * 2 + box
     counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
-
-
-def _count_cells_loop(
-    u: np.ndarray, cum: np.ndarray, omega: np.ndarray, counts: np.ndarray
-) -> None:
-    # plain-loop twin of count_cells_numpy, written to compile under numba;
-    # the binary search reproduces searchsorted(side="right") exactly
-    n = cum.shape[0]
-    m = u.shape[1]
-    for j in range(m):
-        x = u[0, j]
-        lo = 0
-        hi = n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] > x:
-                hi = mid
-            else:
-                lo = mid + 1
-        d = lo
-        om = omega[d]
-        dec = 1 if u[1, j] < om else 0
-        box = 1 if u[2, j] < om else 0
-        counts[d, dec, box] += 1
-
-
-_numba_kernel: Kernel | None = None
-_numba_failure: Exception | None = None
-
-
-def _load_numba_kernel() -> Kernel | None:
-    """Compile the loop kernel on first request; None when numba is absent."""
-    global _numba_kernel, _numba_failure
-    if _numba_kernel is None and _numba_failure is None:
-        try:
-            from numba import njit
-
-            _numba_kernel = njit(cache=True)(_count_cells_loop)
-        except Exception as exc:  # pragma: no cover - depends on install
-            _numba_failure = exc
-    return _numba_kernel
-
-
-def select_kernel(name: str | None = None) -> tuple[str, Kernel]:
-    """Resolve a kernel name to ("numba" | "numpy", callable).
-
-    name=None consults NEWCOMB_KERNEL, defaulting to auto. Asking for
-    numba explicitly when it cannot load is an error rather than a
-    silent substitution.
-    """
-    choice = name if name is not None else os.environ.get(KERNEL_ENV_VAR, "auto")
-    choice = (choice or "auto").strip().lower()
-    if choice == "auto":
-        kernel = _load_numba_kernel()
-        if kernel is not None:
-            return "numba", kernel
-        return "numpy", count_cells_numpy
-    if choice == "numpy":
-        return "numpy", count_cells_numpy
-    if choice == "numba":
-        kernel = _load_numba_kernel()
-        if kernel is None:
-            raise KernelSelectionError(
-                f"numba kernel requested but unavailable: {_numba_failure}"
-            )
-        return "numba", kernel
-    raise KernelSelectionError(
-        f"unknown kernel {choice!r}; expected 'auto', 'numba', or 'numpy'"
-    )

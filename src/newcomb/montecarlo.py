@@ -5,9 +5,8 @@ by inverse CDF, then flip the decision coin and the box-filling coin,
 both with bias omega_d. Each chunk of samples gets its own
 counter-based generator keyed by (seed, chunk index), so results are
 bit-reproducible for a given (samples, seed, chunk_size) triple and do
-not depend on the order chunks are processed in. The counting kernel
-(compiled or vectorized) is chosen per call and never affects the
-counts, only the speed.
+not depend on the order chunks are processed in. One vectorized numpy
+kernel, kernels.count_cells_numpy, tallies each chunk.
 
 Every reported figure derives from the integer count tensor alone. The
 per-sample payouts within a decision branch take only two values (the
@@ -27,8 +26,8 @@ import numpy as np
 
 from . import core
 from .core import Decision, NewcombScenario
-from .errors import InvalidModelError, ZeroSamplesError
-from .kernels import select_kernel
+from .errors import InvalidModelError, InvalidScenarioError, ZeroSamplesError
+from .kernels import count_cells_numpy
 
 DEFAULT_CHUNK_SIZE = 1 << 18
 RNG_ALGORITHM = "philox4x64-10, key=(seed, chunk index)"
@@ -49,10 +48,9 @@ class SimulationReport:
 
     support_counts[d][dec][box] counts samples at support point d with
     decision dec (1 = one-box) and box state box (1 = full). Two runs
-    with equal (samples, seed, chunk_size) compare equal, whatever
-    kernel produced them. Conditional estimates are None when their
-    conditioning count is zero: an estimate that does not exist is not
-    reported as 0.
+    with equal (samples, seed, chunk_size) compare equal. Conditional
+    estimates are None when their conditioning count is zero: an
+    estimate that does not exist is not reported as 0.
     """
 
     samples: int
@@ -108,12 +106,11 @@ def simulate(
     seed: int,
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    kernel: str | None = None,
 ) -> SimulationReport:
     """Run the game `samples` times and summarize the outcome counts.
 
-    seed must be an integer in [0, 2**64). kernel overrides the
-    NEWCOMB_KERNEL environment variable when given.
+    seed must be an integer in [0, 2**64). Both rewards must convert to
+    finite floats, since the reward estimates are floats.
     """
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ZeroSamplesError(
@@ -135,7 +132,13 @@ def simulate(
         raise InvalidModelError(
             f"chunk_size must be a positive integer, got {chunk_size!r}"
         )
-    _, count_cells = select_kernel(kernel)
+    try:
+        large = float(scenario.large_reward)
+        small = float(scenario.small_reward)
+    except OverflowError:
+        raise InvalidScenarioError(
+            "rewards: too large to simulate (the estimates are floats)"
+        ) from None
 
     support = scenario.prediction.support
     cum_exact = []
@@ -157,7 +160,7 @@ def simulate(
         key = np.array([seed, chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         u = rng.random((3, m))
-        count_cells(u, cum, omega, counts)
+        count_cells_numpy(u, cum, omega, counts)
         done += m
         chunk_index += 1
 
@@ -174,8 +177,6 @@ def simulate(
     post_one = _binomial_estimate(int(cells[1, 1]), n_one) if n_one else None
     post_two = _binomial_estimate(int(cells[0, 1]), n_two) if n_two else None
 
-    large = float(scenario.large_reward)
-    small = float(scenario.small_reward)
     reward_one = (
         Estimate(large * post_one.value, large * post_one.stderr, n_one)
         if post_one

@@ -9,6 +9,7 @@ representable.
 
 from __future__ import annotations
 
+import decimal
 import re
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ def parse_rational(text: str, *, what: str = "value") -> Fraction:
     """Parse "<int>" or "<int>/<positive int>" into a Fraction.
 
     Non-canonical forms reduce ("2/4" -> 1/2). `what` names the field in
-    error messages.
+    error messages. An integer longer than Python's int-string limit is
+    a parse error too.
     """
     if not isinstance(text, str):
         raise ScenarioParseError(
@@ -35,6 +37,8 @@ def parse_rational(text: str, *, what: str = "value") -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ScenarioParseError(f"{what}: {text!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise ScenarioParseError(f"{what}: {exc}") from None
 
 
 def coerce_fraction(value, what: str = "value") -> Fraction:
@@ -58,5 +62,16 @@ def format_rational(value: Fraction) -> str:
 
 
 def decimal_str(value: Fraction, digits: int = 6) -> str:
-    """Rounded decimal rendering for display next to the exact form."""
-    return f"{float(value):.{digits}g}"
+    """Rounded decimal rendering for display next to the exact form.
+
+    A value beyond the float range is rounded from the Fraction itself,
+    in the same style (10**400 renders as "1e+400").
+    """
+    try:
+        return f"{float(value):.{digits}g}"
+    except OverflowError:
+        context = decimal.Context(prec=digits)
+        rounded = context.divide(
+            decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
+        )
+        return f"{rounded.normalize(context):.{digits}g}"

@@ -149,6 +149,10 @@ def load_scenario(path) -> LoadedScenario:
                 f"{path}: invalid JSON at line {exc.lineno} "
                 f"column {exc.colno}: {exc.msg}"
             ) from None
+        except (ValueError, RecursionError) as exc:
+            # a number past the int-string limit, or nesting past the
+            # recursion limit
+            raise ScenarioParseError(f"{path}: unreadable JSON: {exc}") from None
     return parse_scenario_data(data)
 
 

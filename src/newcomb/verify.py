@@ -403,7 +403,14 @@ def run_all(
     models: int = 200,
     echo: Callable[[str], None] | None = None,
 ) -> list[CheckResult]:
-    """Run every check; never raises. Pass echo=print for live output."""
+    """Run every check. Pass echo=print for live output.
+
+    A failure inside a check becomes a failed CheckResult rather than an
+    exception. models < 1 raises ValueError before any check runs: a
+    battery that ran no random trials must not report a pass.
+    """
+    if models < 1:
+        raise ValueError(f"models must be at least 1, got {models}")
     master = random.Random(seed)
 
     def child() -> random.Random:

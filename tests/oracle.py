@@ -136,3 +136,27 @@ def adversarial_target(beliefs):
         if pi <= Fraction(1, n):
             return i
     raise AssertionError("pigeonhole violated: no belief <= 1/n")
+
+
+def count_cells_loop(u, cum, omega, counts):
+    """Plain-loop tally, the reference for kernels.count_cells_numpy.
+
+    Same arguments and in-place accumulation: u is a (3, m) block of
+    uniforms, cum the cumulative weights, omega the support, counts an
+    (n, 2, 2) tensor. The binary search reproduces
+    searchsorted(side="right") exactly.
+    """
+    n = len(cum)
+    for j in range(len(u[0])):
+        x = u[0][j]
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cum[mid] > x:
+                hi = mid
+            else:
+                lo = mid + 1
+        om = omega[lo]
+        dec = 1 if u[1][j] < om else 0
+        box = 1 if u[2][j] < om else 0
+        counts[lo][dec][box] += 1

@@ -269,22 +269,6 @@ class TestSimulate:
         )
         assert code == EXIT_DATA
 
-    def test_kernel_flag_accepted(self, s1_path, capsys):
-        code = main(
-            [
-                "simulate",
-                "--scenario",
-                s1_path,
-                "--samples",
-                "1000",
-                "--seed",
-                "1",
-                "--kernel",
-                "numpy",
-            ]
-        )
-        assert code == EXIT_OK
-
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
@@ -292,6 +276,14 @@ class TestVerify:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "10/10 checks passed" in out
+
+    @pytest.mark.parametrize("models", ["0", "-3"])
+    def test_models_below_one_is_a_usage_error(self, models, capsys):
+        # zero random trials must not print "10/10 checks passed"
+        assert main(["verify", "--models", models]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--models" in captured.err
 
     def test_fault_injection_exits_three(self, capsys, monkeypatch):
         honest = core.expected_reward
@@ -303,6 +295,57 @@ class TestVerify:
         code = main(["verify", "--models", "20"])
         assert code == EXIT_VERIFY
         assert "FAIL" in capsys.readouterr().out
+
+
+LONG = "7" * 5000  # past Python's 4300-digit int-string limit
+HUGE_R = json.dumps({**S1, "rewards": {"r": "1000", "R": "1" + "0" * 400}})
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize(
+        "args, content, expected",
+        [
+            # exact analysis of R = 10^400 succeeds: the decimal is
+            # rounded from the Fraction, not from an overflowing float
+            (["analyze"], HUGE_R, EXIT_OK),
+            (["simulate", "--samples", "10", "--seed", "1"], HUGE_R, EXIT_DATA),
+            (
+                ["sweep", "--p", "1/2", "--spread", "1/10", "--ratio", f"1/{LONG}"],
+                None,
+                EXIT_DATA,
+            ),
+            (
+                ["analyze"],
+                json.dumps({**S1, "rewards": {"r": "1", "R": f"1/{LONG}"}}),
+                EXIT_DATA,
+            ),
+            (["analyze"], '{"prediction": ' + LONG + "}", EXIT_DATA),
+            (["analyze"], "[" * 100_000 + "]" * 100_000, EXIT_DATA),
+        ],
+        ids=[
+            "analyze-huge-R",
+            "simulate-huge-R",
+            "sweep-long-ratio",
+            "long-denominator",
+            "long-json-number",
+            "deep-nesting",
+        ],
+    )
+    def test_exit_code_without_traceback(
+        self, args, content, expected, tmp_path, capsys
+    ):
+        argv = list(args)
+        if content is not None:
+            path = tmp_path / "hostile.json"
+            path.write_text(content)
+            argv += ["--scenario", str(path)]
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if expected == EXIT_OK:
+            assert "(8.2e+399)" in captured.out
+        else:
+            assert captured.err.startswith("error: ")
 
 
 class TestBrokenPipe:

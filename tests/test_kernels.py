@@ -1,16 +1,7 @@
 import numpy as np
-import pytest
 
-from newcomb.errors import KernelSelectionError
-from newcomb.kernels import (
-    KERNEL_ENV_VAR,
-    count_cells_numpy,
-    _count_cells_loop,
-    _load_numba_kernel,
-    select_kernel,
-)
-
-HAS_NUMBA = _load_numba_kernel() is not None
+import oracle
+from newcomb.kernels import count_cells_numpy
 
 
 def make_inputs(m, seed=0, cum=(0.5, 1.0), omega=(0.1, 0.9)):
@@ -62,52 +53,10 @@ class TestNumpyKernel:
         u, cum, omega, counts = make_inputs(5000, seed=7)
         count_cells_numpy(u, cum, omega, counts)
         reference = np.zeros_like(counts)
-        _count_cells_loop(u, cum, omega, reference)
+        oracle.count_cells_loop(u, cum, omega, reference)
         assert (counts == reference).all()
 
     def test_single_support_point(self):
         u, cum, omega, counts = make_inputs(256, cum=(1.0,), omega=(0.5,))
         count_cells_numpy(u, cum, omega, counts)
         assert counts.sum() == 256
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-class TestNumbaKernel:
-    def test_bit_identical_to_numpy(self):
-        for seed in range(3):
-            u, cum, omega, counts = make_inputs(
-                10_000, seed=seed, cum=(0.25, 0.375, 1.0), omega=(0.0, 0.5, 1.0)
-            )
-            compiled = np.zeros_like(counts)
-            count_cells_numpy(u, cum, omega, counts)
-            _load_numba_kernel()(u, cum, omega, compiled)
-            assert (counts == compiled).all()
-
-
-class TestSelection:
-    def test_explicit_names(self):
-        name, fn = select_kernel("numpy")
-        assert name == "numpy" and fn is count_cells_numpy
-        if HAS_NUMBA:
-            name, fn = select_kernel("numba")
-            assert name == "numba"
-
-    def test_unknown_name(self):
-        with pytest.raises(KernelSelectionError):
-            select_kernel("cuda")
-
-    def test_env_variable_controls_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert select_kernel()[0] == "numpy"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "NUMPY")
-        assert select_kernel()[0] == "numpy"
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert select_kernel()[0] in ("numba", "numpy")
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "cuda")
-        assert select_kernel("numpy")[0] == "numpy"
-
-    def test_auto_prefers_the_compiled_kernel(self):
-        expected = "numba" if HAS_NUMBA else "numpy"
-        assert select_kernel("auto")[0] == expected

@@ -89,9 +89,13 @@ class TestDecimal:
         assert decimal_str(Fraction(2, 3)) == "0.666667"
         assert decimal_str(Fraction(1, 2)) == "0.5"
         assert decimal_str(Fraction(820000)) == "820000"
+        # beyond the float range, rounded from the Fraction itself
+        assert decimal_str(Fraction(10**400)) == "1e+400"
+        assert decimal_str(Fraction(-2 * 10**400, 3)) == "-6.66667e+399"
 
     def test_digit_override(self):
         assert decimal_str(Fraction(1, 3), digits=2) == "0.33"
+        assert decimal_str(Fraction(10**400, 3), digits=2) == "3.3e+399"
 
 
 class TestCoerce:

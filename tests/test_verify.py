@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from newcomb import all_ok, run_all
 from newcomb import core, impossibility
 from newcomb.verify import (
@@ -19,6 +21,11 @@ class TestBattery:
         failed = [r for r in results if not r.ok]
         assert all_ok(results), failed
         assert len(results) == 10
+
+    def test_no_trials_is_refused(self):
+        for models in (0, -3):
+            with pytest.raises(ValueError, match="models"):
+                run_all(models=models)
 
     def test_deterministic_given_seed(self):
         assert run_all(seed=5, models=30) == run_all(seed=5, models=30)
