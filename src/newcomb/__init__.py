@@ -21,6 +21,7 @@ from .core import (
     PredictionModel,
     ScenarioSummary,
     authority_check,
+    authority_table,
     build_joint,
     expected_reward,
     expected_reward_via_joint,
@@ -85,6 +86,7 @@ __all__ = [
     "VarianceDecomposition",
     "all_ok",
     "authority_check",
+    "authority_table",
     "bad_decision_probability",
     "build_adversarial_game",
     "build_joint",

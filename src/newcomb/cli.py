@@ -26,7 +26,7 @@ from .core import (
     expected_reward,
     posterior_box_full,
     preferred_decision,
-    authority_check,
+    authority_table,
     scenario_summary,
 )
 from .errors import InvalidScenarioError, NewcombError
@@ -115,10 +115,10 @@ def _cmd_analyze(args) -> int:
         f"E[reward | two-box]: {_fmt(expected_reward(scenario, Decision.TWO_BOX))}"
     )
     print(f"preference: {preferred_decision(scenario).label.value}")
-    for omega, _ in scenario.prediction.support:
+    for omega, value in authority_table(scenario).items():
         print(
             f"authority: P(one-box | omega = {format_rational(omega)}) = "
-            f"{_fmt(authority_check(scenario, omega))}"
+            f"{_fmt(value)}"
         )
 
     if loaded.refinement is not None:

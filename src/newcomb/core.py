@@ -83,6 +83,8 @@ class PredictionModel:
         cleaned.sort(key=lambda pair: pair[0])
         seen = set()
         total = Fraction(0)
+        first = Fraction(0)
+        second = Fraction(0)
         for omega, weight in cleaned:
             if not 0 <= omega <= 1:
                 raise InvalidModelError(f"omega {omega} lies outside [0, 1]")
@@ -96,9 +98,16 @@ class PredictionModel:
                     f"weight {weight} for omega {omega} must be positive"
                 )
             total += weight
+            first += weight * omega
+            second += weight * omega * omega
         if total != 1:
             raise InvalidModelError(f"weights sum to {total}, not 1")
         object.__setattr__(self, "support", tuple(cleaned))
+        # the moments are computed once, here; as plain attributes rather
+        # than fields they stay out of equality, hashing and repr
+        object.__setattr__(self, "_p", first)
+        object.__setattr__(self, "_second_moment", second)
+        object.__setattr__(self, "_variance", second - first * first)
 
     @classmethod
     def from_weights(
@@ -121,16 +130,15 @@ class PredictionModel:
     @property
     def p(self) -> Fraction:
         """Prior mean of omega: the marginal accuracy of the predictor."""
-        return sum((q * omega for omega, q in self.support), Fraction(0))
+        return self._p
 
     @property
     def second_moment(self) -> Fraction:
-        return sum((q * omega * omega for omega, q in self.support), Fraction(0))
+        return self._second_moment
 
     @property
     def variance(self) -> Fraction:
-        m = self.p
-        return self.second_moment - m * m
+        return self._variance
 
     @property
     def is_imperfect(self) -> bool:
@@ -310,24 +318,36 @@ def preferred_decision(scenario: NewcombScenario) -> Preference:
     return Preference(label=label, expected_onebox=one, expected_twobox=two)
 
 
-def authority_check(scenario: NewcombScenario, omega_value) -> Fraction:
-    """P(one-box | omega = omega_value), from the joint.
+def authority_table(scenario: NewcombScenario) -> dict[Fraction, Fraction]:
+    """P(one-box | omega = omega_d) for every support point, from the joint.
 
-    The returned value equals omega_value itself: within a support
-    point, the decision frequency is the predictor's coin. Raises
-    UnknownOmegaValueError for values outside the support, since that
-    conditioning event has probability zero.
+    One pass over one joint sums, for each d, its total mass and its
+    one-box mass; their ratio is the conditional. The keys are the
+    support's omegas in support order, and each value equals its key:
+    within a support point, the decision frequency is the predictor's
+    coin.
+    """
+    support = scenario.prediction.support
+    mass = [Fraction(0)] * len(support)
+    onebox = [Fraction(0)] * len(support)
+    for atom, w in build_joint(scenario).atoms:
+        mass[atom.d] += w
+        if atom.decision is Decision.ONE_BOX:
+            onebox[atom.d] += w
+    # every support weight is positive, so every mass[d] is too
+    return {omega: onebox[d] / mass[d] for d, (omega, _) in enumerate(support)}
+
+
+def authority_check(scenario: NewcombScenario, omega_value) -> Fraction:
+    """P(one-box | omega = omega_value): one entry of authority_table.
+
+    Raises UnknownOmegaValueError for values outside the support, since
+    that conditioning event has probability zero.
     """
     value = coerce_fraction(omega_value, "omega_value")
-    which = {
-        d
-        for d, (omega, _) in enumerate(scenario.prediction.support)
-        if omega == value
-    }
-    if not which:
+    table = authority_table(scenario)
+    if value not in table:
         raise UnknownOmegaValueError(
             f"omega {value} is not in the prior support"
         )
-    joint = build_joint(scenario)
-    given = joint.condition(lambda a: a.d in which)
-    return given.prob(lambda a: a.decision is Decision.ONE_BOX)
+    return table[value]

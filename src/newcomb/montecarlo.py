@@ -30,6 +30,8 @@ from .errors import InvalidModelError, InvalidScenarioError, ZeroSamplesError
 from .kernels import count_cells_numpy
 
 DEFAULT_CHUNK_SIZE = 1 << 18
+# a chunk holds 3 float64 uniforms per sample: about 100 MB at this size
+MAX_CHUNK_SIZE = 1 << 22
 RNG_ALGORITHM = "philox4x64-10, key=(seed, chunk index)"
 
 
@@ -109,8 +111,9 @@ def simulate(
 ) -> SimulationReport:
     """Run the game `samples` times and summarize the outcome counts.
 
-    seed must be an integer in [0, 2**64). Both rewards must convert to
-    finite floats, since the reward estimates are floats.
+    seed must be an integer in [0, 2**64) and chunk_size one in
+    [1, MAX_CHUNK_SIZE]. Both rewards must convert to finite floats,
+    since the reward estimates are floats.
     """
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ZeroSamplesError(
@@ -127,10 +130,11 @@ def simulate(
     if (
         not isinstance(chunk_size, int)
         or isinstance(chunk_size, bool)
-        or chunk_size < 1
+        or not 1 <= chunk_size <= MAX_CHUNK_SIZE
     ):
         raise InvalidModelError(
-            f"chunk_size must be a positive integer, got {chunk_size!r}"
+            f"chunk_size must be an integer in [1, {MAX_CHUNK_SIZE}], "
+            f"got {chunk_size!r}"
         )
     try:
         large = float(scenario.large_reward)

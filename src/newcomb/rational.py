@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import decimal
 import re
+import sys
 from fractions import Fraction
 
-from .errors import InvalidModelError, ScenarioParseError
+from .errors import InvalidModelError, InvalidScenarioError, ScenarioParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
@@ -57,21 +58,33 @@ def coerce_fraction(value, what: str = "value") -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text form: lowest terms, '/' omitted for integers."""
-    return str(Fraction(value))
+    """Canonical text form: lowest terms, '/' omitted for integers.
+
+    A numerator or denominator longer than Python's int-string limit
+    raises InvalidScenarioError, as such an integer does on parsing.
+    """
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise InvalidScenarioError(f"exact value too long to print: {exc}") from None
 
 
 def decimal_str(value: Fraction, digits: int = 6) -> str:
     """Rounded decimal rendering for display next to the exact form.
 
-    A value beyond the float range is rounded from the Fraction itself,
-    in the same style (10**400 renders as "1e+400").
+    A nonzero value outside the range of normal floats is rounded from
+    the Fraction itself, in the same style: 10**400 renders as "1e+400"
+    and 10**-400 as "1e-400", where a float would overflow, underflow to
+    0 or keep too few digits.
     """
     try:
-        return f"{float(value):.{digits}g}"
+        as_float = float(value)
     except OverflowError:
-        context = decimal.Context(prec=digits)
-        rounded = context.divide(
-            decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
-        )
-        return f"{rounded.normalize(context):.{digits}g}"
+        as_float = None
+    if as_float is not None and (abs(as_float) >= sys.float_info.min or not value):
+        return f"{as_float:.{digits}g}"
+    context = decimal.Context(prec=digits)
+    rounded = context.divide(
+        decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
+    )
+    return f"{rounded.normalize(context):.{digits}g}"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from newcomb import cli, core, load_scenario
+from newcomb import cli, core, load_scenario, montecarlo
 from newcomb.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VERIFY, main
 
 F = Fraction
@@ -96,6 +96,35 @@ class TestAnalyze:
             "+ within-block 1/100 (0.01)" in out
         )
         assert "delta-omniscient at delta = 3/10: yes" in out
+
+    @pytest.mark.parametrize("points", [2, 50])
+    def test_joint_builds_do_not_grow_with_support(
+        self, points, tmp_path, capsys, monkeypatch
+    ):
+        honest = core.build_joint
+        builds = []
+
+        def counting(scenario):
+            builds.append(len(scenario.prediction.support))
+            return honest(scenario)
+
+        monkeypatch.setattr(core, "build_joint", counting)
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "prediction": [
+                        {"omega": f"{k}/{points + 1}", "weight": f"1/{points}"}
+                        for k in range(1, points + 1)
+                    ],
+                    "rewards": {"r": "1", "R": "3"},
+                }
+            )
+        )
+        assert main(["analyze", "--scenario", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("authority: ") == points
+        assert builds == [points, points]
 
     def test_emit_writes_canonical_file(self, s1_path, tmp_path, capsys):
         target = tmp_path / "canonical.json"
@@ -269,6 +298,25 @@ class TestSimulate:
         )
         assert code == EXIT_DATA
 
+    def test_chunk_size_past_the_cap_exits_data(self, s1_path, capsys):
+        code = main(
+            [
+                "simulate",
+                "--scenario",
+                s1_path,
+                "--samples",
+                "10",
+                "--seed",
+                "1",
+                "--chunk-size",
+                str(montecarlo.MAX_CHUNK_SIZE + 1),
+            ]
+        )
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chunk_size" in captured.err
+
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
@@ -299,6 +347,10 @@ class TestVerify:
 
 LONG = "7" * 5000  # past Python's 4300-digit int-string limit
 HUGE_R = json.dumps({**S1, "rewards": {"r": "1000", "R": "1" + "0" * 400}})
+# each reward parses, but r/R has about 7000 digits
+LONG_RATIO = json.dumps(
+    {**S1, "rewards": {"r": "1/" + "7" * 4000, "R": "1" + "0" * 3000}}
+)
 
 
 class TestHostileInputs:
@@ -321,6 +373,7 @@ class TestHostileInputs:
             ),
             (["analyze"], '{"prediction": ' + LONG + "}", EXIT_DATA),
             (["analyze"], "[" * 100_000 + "]" * 100_000, EXIT_DATA),
+            (["analyze"], LONG_RATIO, EXIT_DATA),
         ],
         ids=[
             "analyze-huge-R",
@@ -329,6 +382,7 @@ class TestHostileInputs:
             "long-denominator",
             "long-json-number",
             "deep-nesting",
+            "analyze-long-output",
         ],
     )
     def test_exit_code_without_traceback(
@@ -344,6 +398,8 @@ class TestHostileInputs:
         assert "Traceback" not in captured.err
         if expected == EXIT_OK:
             assert "(8.2e+399)" in captured.out
+            # r/R lies below the float range and must not print as 0
+            assert "(ratio r/R = 1/1" + "0" * 397 + " (1e-397))" in captured.out
         else:
             assert captured.err.startswith("error: ")
 

@@ -11,6 +11,7 @@ from newcomb import (
     PredictionModel,
     PreferenceLabel,
     authority_check,
+    authority_table,
     build_joint,
     expected_reward,
     expected_reward_via_joint,
@@ -42,6 +43,16 @@ class TestPredictionModel:
     def test_support_is_sorted(self):
         model = PredictionModel(((F(9, 10), HALF), (F(1, 10), HALF)))
         assert model.support == ((F(1, 10), HALF), (F(9, 10), HALF))
+
+    def test_input_order_does_not_matter(self):
+        """The stored moments stay out of equality, hashing and repr."""
+        pairs = [(F(1, 10), F(1, 5)), (F(1, 2), F(1, 2)), (F(9, 10), F(3, 10))]
+        forward = PredictionModel(tuple(pairs))
+        backward = PredictionModel(tuple(reversed(pairs)))
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert repr(forward) == repr(backward)
+        assert repr(forward).count("Fraction(") == 2 * len(pairs)
 
     def test_from_weights_merges_and_normalizes(self):
         model = PredictionModel.from_weights(
@@ -279,11 +290,17 @@ class TestAuthority:
         scenario = NewcombScenario(model, F(1), F(2))
         assert authority_check(scenario, F(0)) == 0
         assert authority_check(scenario, F(1)) == 1
+        # omega 0 has no one-box atoms and omega 1 no two-box atoms
+        assert list(authority_table(scenario).items()) == [(F(0), 0), (F(1), 1)]
 
     @given(scenarios(require_imperfect=False))
     @settings(max_examples=60)
     def test_conditioning_on_omega_returns_omega(self, scenario):
         """Within a support point the decision frequency is omega itself."""
-        for omega, _ in scenario.prediction.support:
+        support = scenario.prediction.support
+        table = authority_table(scenario)
+        assert list(table) == [omega for omega, _ in support]
+        for omega, _ in support:
             assert authority_check(scenario, omega) == omega
-            assert oracle.authority(scenario.prediction.support, omega) == omega
+            assert oracle.authority(support, omega) == omega
+            assert table[omega] == omega

@@ -15,6 +15,7 @@ from newcomb.errors import (
     PerfectKnowledgeError,
     ZeroSamplesError,
 )
+from newcomb.montecarlo import MAX_CHUNK_SIZE
 
 F = Fraction
 
@@ -34,6 +35,16 @@ class TestValidation:
     def test_chunk_size_must_be_positive(self, symmetric_tenths):
         with pytest.raises(InvalidModelError):
             simulate(symmetric_tenths, samples=10, seed=0, chunk_size=0)
+
+    def test_chunk_size_is_capped(self, symmetric_tenths):
+        # rejected before any draw, so nothing of that size is allocated
+        with pytest.raises(InvalidModelError, match="chunk_size"):
+            simulate(
+                symmetric_tenths,
+                samples=10,
+                seed=0,
+                chunk_size=MAX_CHUNK_SIZE + 1,
+            )
 
 
 class TestDeterminism:

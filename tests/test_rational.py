@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newcomb.errors import InvalidModelError, ScenarioParseError
+from newcomb.errors import (
+    InvalidModelError,
+    InvalidScenarioError,
+    ScenarioParseError,
+)
 from newcomb.rational import (
     coerce_fraction,
     decimal_str,
@@ -71,6 +75,10 @@ class TestFormat:
         assert format_rational(Fraction(-1, 2)) == "-1/2"
         assert format_rational(Fraction(0)) == "0"
 
+    def test_past_the_int_string_limit_is_a_scenario_error(self):
+        with pytest.raises(InvalidScenarioError, match="too long to print"):
+            format_rational(Fraction(1, 10**5000))
+
     @given(st.fractions(max_denominator=10**6))
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
@@ -92,10 +100,16 @@ class TestDecimal:
         # beyond the float range, rounded from the Fraction itself
         assert decimal_str(Fraction(10**400)) == "1e+400"
         assert decimal_str(Fraction(-2 * 10**400, 3)) == "-6.66667e+399"
+        # below it too, where a float underflows to 0 or is subnormal
+        assert decimal_str(Fraction(1, 10**400)) == "1e-400"
+        assert decimal_str(Fraction(-1, 10**400)) == "-1e-400"
+        assert decimal_str(Fraction(1, 3 * 10**320)) == "3.33333e-321"
+        assert decimal_str(Fraction(0)) == "0"
 
     def test_digit_override(self):
         assert decimal_str(Fraction(1, 3), digits=2) == "0.33"
         assert decimal_str(Fraction(10**400, 3), digits=2) == "3.3e+399"
+        assert decimal_str(Fraction(1, 3 * 10**400), digits=2) == "3.3e-401"
 
 
 class TestCoerce:
