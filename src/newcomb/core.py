@@ -26,7 +26,7 @@ from .errors import (
     PerfectKnowledgeError,
     UnknownOmegaValueError,
 )
-from .rational import coerce_fraction
+from .rational import coerce_fraction, describe
 
 
 class Decision(Enum):
@@ -73,7 +73,8 @@ class PredictionModel:
                 omega, weight = entry
             except (TypeError, ValueError):
                 raise InvalidModelError(
-                    f"support entry {entry!r} is not an (omega, weight) pair"
+                    f"support entry {describe(entry, repr)} is not an "
+                    "(omega, weight) pair"
                 ) from None
             cleaned.append(
                 (coerce_fraction(omega, "omega"), coerce_fraction(weight, "weight"))
@@ -87,21 +88,22 @@ class PredictionModel:
         second = Fraction(0)
         for omega, weight in cleaned:
             if not 0 <= omega <= 1:
-                raise InvalidModelError(f"omega {omega} lies outside [0, 1]")
+                raise InvalidModelError(f"omega {describe(omega)} lies outside [0, 1]")
             if omega in seen:
                 raise InvalidModelError(
-                    f"omega {omega} appears twice; use from_weights to merge"
+                    f"omega {describe(omega)} appears twice; use from_weights to merge"
                 )
             seen.add(omega)
             if weight <= 0:
                 raise InvalidModelError(
-                    f"weight {weight} for omega {omega} must be positive"
+                    f"weight {describe(weight)} for omega {describe(omega)} "
+                    "must be positive"
                 )
             total += weight
             first += weight * omega
             second += weight * omega * omega
         if total != 1:
-            raise InvalidModelError(f"weights sum to {total}, not 1")
+            raise InvalidModelError(f"weights sum to {describe(total)}, not 1")
         object.__setattr__(self, "support", tuple(cleaned))
         # the moments are computed once, here; as plain attributes rather
         # than fields they stay out of equality, hashing and repr
@@ -148,7 +150,7 @@ class PredictionModel:
     def require_imperfect(self) -> None:
         if not self.is_imperfect:
             raise PerfectKnowledgeError(
-                f"prior mean is {self.p}; conditioning on one of the two "
+                f"prior mean is {describe(self.p)}; conditioning on one of the two "
                 "decisions would condition on a zero-probability event"
             )
 
@@ -179,11 +181,11 @@ class NewcombScenario:
         )
         if self.small_reward <= 0:
             raise InvalidModelError(
-                f"small_reward must be positive, got {self.small_reward}"
+                f"small_reward must be positive, got {describe(self.small_reward)}"
             )
         if self.large_reward <= 0:
             raise InvalidModelError(
-                f"large_reward must be positive, got {self.large_reward}"
+                f"large_reward must be positive, got {describe(self.large_reward)}"
             )
 
 
@@ -348,6 +350,6 @@ def authority_check(scenario: NewcombScenario, omega_value) -> Fraction:
     table = authority_table(scenario)
     if value not in table:
         raise UnknownOmegaValueError(
-            f"omega {value} is not in the prior support"
+            f"omega {describe(value)} is not in the prior support"
         )
     return table[value]

@@ -19,6 +19,7 @@ from .errors import (
     ZeroProbabilityEventError,
     ZeroTotalWeightError,
 )
+from .rational import describe
 
 T = TypeVar("T", bound=Hashable)
 U = TypeVar("U", bound=Hashable)
@@ -52,7 +53,8 @@ class FiniteDist(Generic[T]):
             w = Fraction(raw)
             if w < 0:
                 raise NegativeWeightError(
-                    f"weight {w} for outcome {outcome!r} is negative"
+                    f"weight {describe(w)} for outcome "
+                    f"{describe(outcome, repr)} is negative"
                 )
             merged[outcome] = merged.get(outcome, Fraction(0)) + w
         if not saw_any:
@@ -72,11 +74,12 @@ class FiniteDist(Generic[T]):
         for outcome, w in self.atoms:
             if w <= 0:
                 raise NegativeWeightError(
-                    f"atom weight for {outcome!r} must be positive, got {w}"
+                    f"atom weight for {describe(outcome, repr)} must be positive, "
+                    f"got {describe(w)}"
                 )
             total += w
         if total != 1:
-            raise ZeroTotalWeightError(f"atom weights sum to {total}, not 1")
+            raise ZeroTotalWeightError(f"atom weights sum to {describe(total)}, not 1")
         index = dict(self.atoms)
         if len(index) != len(self.atoms):
             raise InvalidModelError(

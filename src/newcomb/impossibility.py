@@ -20,7 +20,7 @@ from .errors import (
     NotADistributionError,
     PerfectKnowledgeError,
 )
-from .rational import coerce_fraction
+from .rational import coerce_fraction, describe
 
 
 def validate_beliefs(beliefs: Iterable) -> tuple[Fraction, ...]:
@@ -41,7 +41,7 @@ def validate_beliefs(beliefs: Iterable) -> tuple[Fraction, ...]:
         raise NotADistributionError("belief entries must not be negative")
     total = sum(checked, Fraction(0))
     if total != 1:
-        raise NotADistributionError(f"beliefs sum to {total}, not 1")
+        raise NotADistributionError(f"beliefs sum to {describe(total)}, not 1")
     if any(pi == 0 or pi == 1 for pi in checked):
         raise PerfectKnowledgeError(
             "a belief of exactly 0 or 1 means certainty about a box"
@@ -140,6 +140,6 @@ def optimal_choice(game: NBoxGame) -> int:
     winners = [i for i, x in enumerate(game.rewards) if x == best]
     if len(winners) != 1:
         raise InvalidModelError(
-            f"no unique best box: {len(winners)} boxes pay {best}"
+            f"no unique best box: {len(winners)} boxes pay {describe(best)}"
         )
     return winners[0]

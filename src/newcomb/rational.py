@@ -69,6 +69,21 @@ def format_rational(value: Fraction) -> str:
         raise InvalidScenarioError(f"exact value too long to print: {exc}") from None
 
 
+def describe(value, render=str) -> str:
+    """render(value) for an error message; never raises ValueError.
+
+    An integer past Python's int-string limit, inside a Fraction or any
+    other value, makes str and repr raise ValueError. A rational is then
+    shown by its rounded decimal; anything else by its type name.
+    """
+    try:
+        return render(value)
+    except ValueError:
+        if isinstance(value, (Fraction, int)):
+            return f"{decimal_str(Fraction(value))} (exact form too long to print)"
+        return f"<{type(value).__name__} too long to print>"
+
+
 def decimal_str(value: Fraction, digits: int = 6) -> str:
     """Rounded decimal rendering for display next to the exact form.
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .core import PredictionModel
 from .errors import DeltaOutOfRangeError, InvalidPartitionError
-from .rational import coerce_fraction
+from .rational import coerce_fraction, describe
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,8 @@ def check_delta_omniscience(model: PredictionModel, delta) -> OmniscienceReport:
     limit = min(p, 1 - p)
     if not 0 <= delta < limit:
         raise DeltaOutOfRangeError(
-            f"delta must satisfy 0 <= delta < min(p, 1 - p) = {limit}, got {delta}"
+            "delta must satisfy 0 <= delta < min(p, 1 - p) = "
+            f"{describe(limit)}, got {describe(delta)}"
         )
     omniscient = all(
         not (delta < omega < 1 - delta) for omega, _ in model.support

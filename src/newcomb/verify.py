@@ -290,9 +290,12 @@ def _check_authority(rng: random.Random, trials: int) -> str:
     points = 0
     for _ in range(trials):
         scenario = random_scenario(rng, require_imperfect=False)
-        for omega, _ in scenario.prediction.support:
-            assert core.authority_check(scenario, omega) == omega
-            points += 1
+        table = core.authority_table(scenario)
+        omegas = [omega for omega, _ in scenario.prediction.support]
+        assert list(table) == omegas, "authority table keys differ from the support"
+        for omega, value in table.items():
+            assert value == omega, (omega, value)
+        points += len(table)
     return f"{points} support points: P(one-box | omega) = omega exactly"
 
 

@@ -351,6 +351,16 @@ HUGE_R = json.dumps({**S1, "rewards": {"r": "1000", "R": "1" + "0" * 400}})
 LONG_RATIO = json.dumps(
     {**S1, "rewards": {"r": "1/" + "7" * 4000, "R": "1" + "0" * 3000}}
 )
+# each weight parses, but their sum, named in the error, has about 6000 digits
+LONG_WEIGHTS = json.dumps(
+    {
+        **S1,
+        "prediction": [
+            {"omega": "1/10", "weight": "1/" + "3" * 3000},
+            {"omega": "9/10", "weight": "1/" + "7" * 3001},
+        ],
+    }
+)
 
 
 class TestHostileInputs:
@@ -374,6 +384,7 @@ class TestHostileInputs:
             (["analyze"], '{"prediction": ' + LONG + "}", EXIT_DATA),
             (["analyze"], "[" * 100_000 + "]" * 100_000, EXIT_DATA),
             (["analyze"], LONG_RATIO, EXIT_DATA),
+            (["analyze"], LONG_WEIGHTS, EXIT_DATA),
         ],
         ids=[
             "analyze-huge-R",
@@ -383,6 +394,7 @@ class TestHostileInputs:
             "long-json-number",
             "deep-nesting",
             "analyze-long-output",
+            "long-weight-sum",
         ],
     )
     def test_exit_code_without_traceback(

@@ -15,6 +15,10 @@ from newcomb.errors import (
 
 F = Fraction
 
+# 1/(3...3) + 1/(7...7): each term prints, but the sum's reduced
+# denominator has about 6000 digits, past Python's int-string limit
+LONG_SUM_TERMS = (F(1, int("3" * 3000)), F(1, int("7" * 3001)))
+
 raw_weightings = st.lists(
     st.tuples(
         st.sampled_from("abcde"),
@@ -54,6 +58,10 @@ class TestConstruction:
     def test_direct_construction_checks_mass(self):
         with pytest.raises(ZeroTotalWeightError):
             FiniteDist(atoms=(("a", F(1, 2)),))
+
+    def test_mass_too_long_to_print_still_raises_the_model_error(self):
+        with pytest.raises(ZeroTotalWeightError, match="too long to print"):
+            FiniteDist(atoms=tuple(zip("ab", LONG_SUM_TERMS)))
 
     def test_direct_construction_rejects_duplicates(self):
         with pytest.raises(InvalidModelError):

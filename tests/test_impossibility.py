@@ -20,6 +20,10 @@ from strategies import belief_vectors
 
 F = Fraction
 
+# 1/(3...3) + 1/(7...7): each term prints, but the sum's reduced
+# denominator has about 6000 digits, past Python's int-string limit
+LONG_SUM_TERMS = (F(1, int("3" * 3000)), F(1, int("7" * 3001)))
+
 
 class TestBuild:
     def test_first_small_enough_belief_is_targeted(self):
@@ -41,6 +45,10 @@ class TestBuild:
     def test_sum_must_be_exactly_one(self):
         with pytest.raises(NotADistributionError):
             build_adversarial_game((F(1, 2), F(1, 3)))
+
+    def test_sum_too_long_to_print_still_raises_the_model_error(self):
+        with pytest.raises(NotADistributionError, match="too long to print"):
+            build_adversarial_game(LONG_SUM_TERMS)
 
     def test_negative_entries_rejected_before_certainty_check(self):
         with pytest.raises(NotADistributionError):

@@ -12,6 +12,7 @@ from newcomb.errors import (
 from newcomb.rational import (
     coerce_fraction,
     decimal_str,
+    describe,
     format_rational,
     parse_rational,
 )
@@ -89,6 +90,20 @@ class TestFormat:
     )
     def test_any_text_form_parses_to_the_same_value(self, num, den):
         assert parse_rational(f"{num}/{den}") == Fraction(num, den)
+
+
+class TestDescribe:
+    def test_short_values_print_as_str_or_repr(self):
+        assert describe(Fraction(2, 4)) == "1/2"
+        assert describe(Fraction(1, 2), repr) == "Fraction(1, 2)"
+        assert describe("a") == "a"
+
+    def test_past_the_int_string_limit_never_raises(self):
+        huge = Fraction(1, 3 * 10**5000)
+        assert describe(huge) == "3.33333e-5001 (exact form too long to print)"
+        assert describe(huge, repr).startswith("3.33333e-5001 ")
+        assert describe(10**5000).startswith("1e+5000 ")
+        assert describe((huge, huge), repr) == "<tuple too long to print>"
 
 
 class TestDecimal:

@@ -6,6 +6,7 @@ import pytest
 from newcomb import all_ok, run_all
 from newcomb import core, impossibility
 from newcomb.verify import (
+    _check_authority,
     builtin_scenarios,
     random_beliefs,
     random_prediction_model,
@@ -72,6 +73,35 @@ class TestBattery:
         results = run_all(models=10)
         assert not all_ok(results)
         assert any("deliberately broken" in r.detail for r in results)
+
+    def test_authority_builds_one_joint_per_model(self, monkeypatch):
+        honest = core.build_joint
+        calls = []
+
+        def counting(scenario):
+            calls.append(scenario)
+            return honest(scenario)
+
+        monkeypatch.setattr(core, "build_joint", counting)
+        trials = 25
+        detail = _check_authority(random.Random(4), trials)
+        assert len(calls) == trials
+        # the models have several support points each, so one joint per
+        # point would show as more calls than trials
+        assert int(detail.split()[0]) > trials
+
+    def test_wrong_authority_entry_is_caught(self, monkeypatch):
+        honest = core.authority_table
+
+        def off_by_one_entry(scenario):
+            table = honest(scenario)
+            last = list(table)[-1]
+            table[last] = table[last] / 2
+            return table
+
+        monkeypatch.setattr(core, "authority_table", off_by_one_entry)
+        with pytest.raises(AssertionError):
+            _check_authority(random.Random(4), 5)
 
 
 class TestGenerators:
