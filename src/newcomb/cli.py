@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,7 +24,6 @@ from .core import (
     Decision,
     NewcombScenario,
     PredictionModel,
-    expected_reward,
     posterior_box_full,
     preferred_decision,
     authority_table,
@@ -72,6 +72,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _flag_threshold(text: str) -> float:
+    value = float(text)
+    # no deviation exceeds nan or inf, and every one exceeds a negative
+    # threshold: none of those would check anything
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of at least 0, got {text}"
+        )
+    return value
+
+
 def _fmt(value: Fraction) -> str:
     return f"{format_rational(value)} ({decimal_str(value)})"
 
@@ -108,13 +119,10 @@ def _cmd_analyze(args) -> int:
         "posterior P(full | two-box): "
         f"{_fmt(posterior_box_full(scenario, Decision.TWO_BOX))}"
     )
-    print(
-        f"E[reward | one-box]: {_fmt(expected_reward(scenario, Decision.ONE_BOX))}"
-    )
-    print(
-        f"E[reward | two-box]: {_fmt(expected_reward(scenario, Decision.TWO_BOX))}"
-    )
-    print(f"preference: {preferred_decision(scenario).label.value}")
+    pref = preferred_decision(scenario)
+    print(f"E[reward | one-box]: {_fmt(pref.expected_onebox)}")
+    print(f"E[reward | two-box]: {_fmt(pref.expected_twobox)}")
+    print(f"preference: {pref.label.value}")
     for omega, value in authority_table(scenario).items():
         print(
             f"authority: P(one-box | omega = {format_rational(omega)}) = "
@@ -182,7 +190,13 @@ def _sweep_rows(ps, spreads, ratios):
                 ((p - a, Fraction(1)), (p + a, Fraction(1)))
             )
             sigma2 = model.variance
-            threshold = sigma2 / (p * (1 - p))
+            # the cells that depend on the model alone
+            prefix = (
+                format_rational(p),
+                format_rational(a),
+                format_rational(sigma2),
+                format_rational(sigma2 / (p * (1 - p))),
+            )
             for ratio in ratios:
                 scenario = NewcombScenario(
                     prediction=model,
@@ -191,10 +205,7 @@ def _sweep_rows(ps, spreads, ratios):
                 )
                 pref = preferred_decision(scenario)
                 yield (
-                    format_rational(p),
-                    format_rational(a),
-                    format_rational(sigma2),
-                    format_rational(threshold),
+                    *prefix,
                     format_rational(ratio),
                     pref.label.value,
                     format_rational(pref.expected_onebox),
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--flag-threshold",
-        type=float,
+        type=_flag_threshold,
         default=4.0,
         help="flag estimates deviating by more than this many SEs",
     )

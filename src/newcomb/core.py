@@ -125,11 +125,6 @@ class PredictionModel:
         return cls(support=dist.atoms)
 
     @property
-    def omega_dist(self) -> FiniteDist[Fraction]:
-        """The prior as a distribution over omega values."""
-        return FiniteDist(atoms=self.support)
-
-    @property
     def p(self) -> Fraction:
         """Prior mean of omega: the marginal accuracy of the predictor."""
         return self._p
@@ -213,27 +208,24 @@ class Preference:
     expected_twobox: Fraction
 
 
-def _joint_of_model(model: PredictionModel) -> FiniteDist[JointAtom]:
-    pairs = []
-    for d, (omega, q) in enumerate(model.support):
-        for decision in Decision:
-            p_dec = omega if decision is Decision.ONE_BOX else 1 - omega
-            for box_full in (False, True):
-                p_box = omega if box_full else 1 - omega
-                pairs.append(
-                    (JointAtom(d, decision, box_full), q * p_dec * p_box)
-                )
-    return FiniteDist.from_weights(pairs)
-
-
 def build_joint(scenario: NewcombScenario) -> FiniteDist[JointAtom]:
     """Joint distribution over (d, decision, box_full).
 
     Given d, the decision flip and the filling flip are independent,
-    each coming up "one-box" / "full" with probability omega_d.
+    each coming up "one-box" / "full" with probability omega_d. Each
+    atom's weight is the exact product q_d * p_decision * p_box, so the
+    weights sum to 1 without normalizing; FiniteDist checks that they do.
     Zero-weight atoms are pruned.
     """
-    return _joint_of_model(scenario.prediction)
+    atoms = []
+    for d, (omega, q) in enumerate(scenario.prediction.support):
+        for decision in Decision:
+            p_dec = omega if decision is Decision.ONE_BOX else 1 - omega
+            for box_full in (False, True):
+                w = q * p_dec * (omega if box_full else 1 - omega)
+                if w:
+                    atoms.append((JointAtom(d, decision, box_full), w))
+    return FiniteDist(atoms=tuple(atoms))
 
 
 def scenario_summary(scenario: NewcombScenario) -> ScenarioSummary:

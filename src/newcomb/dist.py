@@ -2,7 +2,7 @@
 
 A FiniteDist is an immutable map from hashable outcomes to Fraction
 weights that sum to exactly 1. All probability computed downstream of
-this module (conditioning, marginals, moments) stays in Fraction
+this module (conditioning, marginals, means) stays in Fraction
 arithmetic; floats appear only in Monte Carlo estimation and display.
 """
 
@@ -27,7 +27,8 @@ U = TypeVar("U", bound=Hashable)
 
 @dataclass(frozen=True, eq=False)
 class FiniteDist(Generic[T]):
-    """Exact finite distribution. Build with from_weights.
+    """Exact finite distribution. Build with from_weights, or from atoms
+    whose weights already sum to 1.
 
     atoms holds (outcome, weight) pairs with strictly positive weights
     summing to 1, one pair per outcome, in first-occurrence order of the
@@ -136,13 +137,3 @@ class FiniteDist(Generic[T]):
 
     def mean(self, f: Callable[[T], Fraction | int]) -> Fraction:
         return sum((w * Fraction(f(x)) for x, w in self.atoms), Fraction(0))
-
-    def moments(self, f: Callable[[T], Fraction | int]) -> tuple[Fraction, Fraction]:
-        """Exact (mean, variance) of f under the distribution."""
-        m = Fraction(0)
-        m2 = Fraction(0)
-        for x, w in self.atoms:
-            v = Fraction(f(x))
-            m += w * v
-            m2 += w * v * v
-        return m, m2 - m * m

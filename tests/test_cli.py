@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from newcomb import cli, core, load_scenario, montecarlo
 from newcomb.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VERIFY, main
@@ -292,6 +296,30 @@ class TestSimulate:
         assert code == EXIT_VERIFY
         assert "FLAGGED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_flag_threshold_outside_its_domain_is_a_usage_error(
+        self, threshold, s1_path, capsys
+    ):
+        # no deviation exceeds nan or inf, and every deviation exceeds -1,
+        # so none of these thresholds would check anything
+        code = main(
+            [
+                "simulate",
+                "--scenario",
+                s1_path,
+                "--samples",
+                "1000",
+                "--seed",
+                "1",
+                "--flag-threshold",
+                threshold,
+            ]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--flag-threshold" in captured.err
+
     def test_bad_samples_exit_data(self, s1_path, capsys):
         code = main(
             ["simulate", "--scenario", s1_path, "--samples", "0", "--seed", "1"]
@@ -416,6 +444,151 @@ class TestHostileInputs:
             assert captured.err.startswith("error: ")
 
 
+def _texts(low, high):
+    return st.fractions(min_value=low, max_value=high, max_denominator=12).map(str)
+
+
+# anything a rational option or field may carry: negative, unparseable,
+# a zero denominator
+junk_rationals = st.one_of(
+    _texts(-2, 10**6),
+    st.sampled_from(["1/0", "0/0", "0.5", "", "x", " 1/2", "1e3", "--1"]),
+)
+# JSON values that are not rational strings
+junk_json = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(0, 1), st.just([])
+)
+BREAKAGES = [
+    "missing-key",
+    "json-value",
+    "zero-denominator",
+    "duplicate-omega",
+    "weights",
+    "rewards",
+    "partition",
+    "unknown-key",
+    "not-json",
+    "not-object",
+]
+
+
+def _mostly(draw, valid, invalid):
+    """A draw from valid three times in four, else from invalid."""
+    return draw(valid if draw(st.integers(0, 3)) else invalid)
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario files: valid half the time, else broken in one way."""
+    n = draw(st.integers(1, 4))
+    omegas = draw(st.lists(_texts(0, 1), min_size=n, max_size=n, unique=True))
+    data = {
+        "prediction": [{"omega": o, "weight": f"1/{n}"} for o in omegas],
+        "rewards": {"r": draw(_texts(1, 10**6)), "R": draw(_texts(1, 10**6))},
+    }
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, n + 1)))
+        data["partition"] = [order[: n // 2], order[n // 2 :]] if n > 1 else [order]
+    breakage = draw(st.sampled_from(BREAKAGES)) if draw(st.booleans()) else None
+    entry = data["prediction"][-1]
+    if breakage == "missing-key":
+        holder = draw(st.sampled_from([data, data["rewards"], entry]))
+        del holder[draw(st.sampled_from(sorted(holder)))]
+    elif breakage == "json-value":
+        holder = draw(st.sampled_from([data["rewards"], entry]))
+        holder[draw(st.sampled_from(sorted(holder)))] = draw(junk_json)
+    elif breakage == "zero-denominator":
+        holder = draw(st.sampled_from([data["rewards"], entry]))
+        holder[draw(st.sampled_from(sorted(holder)))] = "1/0"
+    elif breakage == "duplicate-omega":
+        data["prediction"].append(dict(entry))
+    elif breakage == "weights":
+        entry["weight"] = draw(junk_rationals)
+    elif breakage == "rewards":
+        data["rewards"][draw(st.sampled_from(["r", "R"]))] = draw(junk_rationals)
+    elif breakage == "partition":
+        data["partition"] = draw(
+            st.one_of(
+                st.lists(st.lists(st.integers(-1, n + 1), max_size=3), max_size=3),
+                junk_json,
+            )
+        )
+    elif breakage == "unknown-key":
+        data["extra"] = "1"
+    elif breakage == "not-json":
+        return json.dumps(data)[: draw(st.integers(0, 20))]
+    elif breakage == "not-object":
+        return json.dumps(data["prediction"])
+    return json.dumps(data)
+
+
+def _option_list(draw, valid):
+    values = st.lists(valid, min_size=1, max_size=3)
+    return ",".join(_mostly(draw, values, st.lists(junk_rationals, min_size=1)))
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv for the commands that read data, with valid and invalid values.
+
+    analyze and simulate lack --scenario; the test adds it.
+    """
+    command = draw(st.sampled_from(["analyze", "simulate", "sweep", "impossibility"]))
+    if command == "analyze":
+        argv = ["analyze"]
+        if draw(st.booleans()):
+            argv.append(f"--delta={_mostly(draw, _texts(0, 1), junk_rationals)}")
+        return argv
+    if command == "simulate":
+        argv = [
+            "simulate",
+            f"--samples={draw(st.integers(-1, 1000))}",
+            f"--seed={draw(st.integers(-1, 2**64))}",
+        ]
+        if draw(st.booleans()):
+            argv.append(f"--chunk-size={draw(st.integers(-1, 300))}")
+        if draw(st.booleans()):
+            threshold = draw(
+                st.sampled_from(["0", "4", "1e3", "nan", "inf", "-1", "x"])
+            )
+            argv.append(f"--flag-threshold={threshold}")
+        return argv
+    if command == "sweep":
+        # any spread up to 1/12 keeps p +- spread inside [0, 1]
+        return [
+            "sweep",
+            f"--p={_option_list(draw, _texts(Fraction(1, 12), Fraction(11, 12)))}",
+            f"--spread={_option_list(draw, _texts(0, Fraction(1, 12)))}",
+            f"--ratio={_option_list(draw, _texts(Fraction(1, 12), 2))}",
+        ]
+    weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
+    total = sum(weights) or 1
+    beliefs = ",".join(str(Fraction(w, total)) for w in weights)
+    invalid = st.lists(junk_rationals, min_size=1).map(",".join)
+    return ["impossibility", f"--beliefs={_mostly(draw, st.just(beliefs), invalid)}"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=cli_argvs(), content=scenario_texts())
+    def test_documented_exit_code_and_no_traceback(self, argv, content, fuzz_dir):
+        path = fuzz_dir / "scenario.json"
+        path.write_text(content)
+        if argv[0] in ("analyze", "simulate"):
+            argv = [*argv, "--scenario", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"{argv[0]} exit {code}")
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFY)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestBrokenPipe:
     def test_closed_stdout_exits_with_sigpipe_status(self, capsys, monkeypatch):
         def raiser(**kwargs):
@@ -423,3 +596,181 @@ class TestBrokenPipe:
 
         monkeypatch.setattr(cli.verify, "run_all", raiser)
         assert main(["verify"]) == EXIT_PIPE
+
+
+# Full stdout of representative commands, generated before the exact path
+# was simplified: any change to a printed value, its order or its format
+# shows up here, not only in the single lines the tests above check.
+FINE = {
+    "prediction": [
+        {"omega": "1/10", "weight": "1/4"},
+        {"omega": "3/10", "weight": "1/4"},
+        {"omega": "7/10", "weight": "1/4"},
+        {"omega": "9/10", "weight": "1/4"},
+    ],
+    "rewards": {"r": "1000", "R": "1000000"},
+    "partition": [[1, 2], [3, 4]],
+}
+
+GOLDEN_ANALYZE_S1 = """\
+support points: 2
+rewards: r = 1000, R = 1000000 (ratio r/R = 1/1000 (0.001))
+p (marginal accuracy): 1/2 (0.5)
+sigma^2 (prior variance): 4/25 (0.16)
+prior P(box full): 1/2 (0.5)
+threshold sigma^2/(p(1-p)): 16/25 (0.64)
+posterior P(full | one-box): 41/50 (0.82)
+posterior P(full | two-box): 9/50 (0.18)
+E[reward | one-box]: 820000 (820000)
+E[reward | two-box]: 181000 (181000)
+preference: onebox
+authority: P(one-box | omega = 1/10) = 1/10 (0.1)
+authority: P(one-box | omega = 9/10) = 9/10 (0.9)
+"""
+
+GOLDEN_ANALYZE_FINE = """\
+support points: 4
+rewards: r = 1000, R = 1000000 (ratio r/R = 1/1000 (0.001))
+p (marginal accuracy): 1/2 (0.5)
+sigma^2 (prior variance): 1/10 (0.1)
+prior P(box full): 1/2 (0.5)
+threshold sigma^2/(p(1-p)): 2/5 (0.4)
+posterior P(full | one-box): 7/10 (0.7)
+posterior P(full | two-box): 3/10 (0.3)
+E[reward | one-box]: 700000 (700000)
+E[reward | two-box]: 301000 (301000)
+preference: onebox
+authority: P(one-box | omega = 1/10) = 1/10 (0.1)
+authority: P(one-box | omega = 3/10) = 3/10 (0.3)
+authority: P(one-box | omega = 7/10) = 7/10 (0.7)
+authority: P(one-box | omega = 9/10) = 9/10 (0.9)
+partition: 2 block(s)
+coarse support points: 2
+  coarse omega 1/5 with weight 1/2
+  coarse omega 4/5 with weight 1/2
+variance split: fine 1/10 (0.1) = coarse 9/100 (0.09) + within-block 1/100 (0.01)
+delta-omniscient at delta = 3/10: yes
+variance lower bound when omniscient: -19/125 (-0.152); actual variance: 1/10 (0.1)
+wrote canonical scenario to canonical.json
+"""
+
+GOLDEN_EMITTED_FINE = """\
+{
+  "prediction": [
+    {
+      "omega": "1/10",
+      "weight": "1/4"
+    },
+    {
+      "omega": "3/10",
+      "weight": "1/4"
+    },
+    {
+      "omega": "7/10",
+      "weight": "1/4"
+    },
+    {
+      "omega": "9/10",
+      "weight": "1/4"
+    }
+  ],
+  "rewards": {
+    "r": "1000",
+    "R": "1000000"
+  },
+  "partition": [
+    [
+      1,
+      2
+    ],
+    [
+      3,
+      4
+    ]
+  ]
+}
+"""
+
+# the csv module ends every row with \r\n
+GOLDEN_SWEEP = (
+    "p,spread,sigma2,threshold,r_over_R,preference,e_onebox,e_twobox\r\n"
+    "1/2,0,0,0,1/1000,twobox,1/2,501/1000\r\n"
+    "1/2,0,0,0,1/4,twobox,1/2,3/4\r\n"
+    "1/2,0,0,0,1,twobox,1/2,3/2\r\n"
+    "1/2,1/4,1/16,1/4,1/1000,onebox,5/8,47/125\r\n"
+    "1/2,1/4,1/16,1/4,1/4,indifferent,5/8,5/8\r\n"
+    "1/2,1/4,1/16,1/4,1,twobox,5/8,11/8\r\n"
+)
+
+GOLDEN_IMPOSSIBILITY = """\
+boxes: 3
+beliefs: 1/2, 3/10, 1/5
+adversarial target: box 2 (belief 3/10 <= 1/3)
+rewards: 0, 1, 0
+counterfactually optimal choice: box 2 (payout 1)
+P(subject picks a worthless box): 7/10 (0.7); lower bound 1 - 1/3 = 2/3 (0.666667)
+"""
+
+GOLDEN_SIMULATE_S1 = """\
+samples: 100000  seed: 7  chunk size: 262144
+rng: philox4x64-10, key=(seed, chunk index)
+counts: two-box/empty 41083, two-box/full 9195, one-box/empty 8960, one-box/full 40762
+quantity                              exact       estimate       stderr   dev(SE) flag
+p                                       1/2        0.49722     0.001581      1.76
+prior_box_full                          1/2        0.49957     0.001581     0.272
+posterior_full_onebox                 41/50     0.81979808     0.001724     0.117
+posterior_full_twobox                  9/50     0.18288317     0.001724      1.67
+expected_reward_onebox               820000      819798.08         1724     0.117
+expected_reward_twobox               181000      183883.17         1724      1.67
+"""
+
+GOLDEN_VERIFY_5 = """\
+ok   worked-examples: all built-in example values reproduced
+ok   distribution-laws: 5 random joints: unit mass, marginals, conditioning chain
+ok   posterior-routes: 5 models: closed-form posteriors equal joint conditioning
+ok   expected-rewards: 5 models: closed-form expectations equal joint means
+ok   preference-threshold: 5 models x 5+ ratios: preference matches the variance threshold (4 exact ties included)
+ok   authority: 11 support points: P(one-box | omega) = omega exactly
+ok   refinement: 5 refinements: mean kept, variances decompose exactly
+ok   omniscience: 5 models: bound >= p(1-p) - 3*delta; sharp two-point priors force one-boxing at ratio 1/1000
+ok   impossibility: 10 belief vectors: pigeonhole target, bad-pick bound
+ok   simulation: 200k-sample run reproducible and within 4 SEs of exact values
+10/10 checks passed
+"""
+
+
+class TestGoldenOutput:
+    @pytest.fixture(autouse=True)
+    def _scenario_files(self, tmp_path, monkeypatch):
+        # relative paths keep the emit line free of the temporary directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s1.json").write_text(json.dumps(S1))
+        (tmp_path / "fine.json").write_text(json.dumps(FINE))
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["analyze", "--scenario", "s1.json"], GOLDEN_ANALYZE_S1),
+            (
+                ["sweep", "--p", "1/2", "--spread", "0,1/4", "--ratio", "1/1000,1/4,1"],
+                GOLDEN_SWEEP,
+            ),
+            (["impossibility", "--beliefs", "1/2,3/10,1/5"], GOLDEN_IMPOSSIBILITY),
+            (
+                ["simulate", "--scenario", "s1.json", "--samples", "100000", "--seed", "7"],
+                GOLDEN_SIMULATE_S1,
+            ),
+            (["verify", "--models", "5"], GOLDEN_VERIFY_5),
+        ],
+        ids=["analyze", "sweep", "impossibility", "simulate", "verify"],
+    )
+    def test_stdout(self, argv, expected, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_analyze_with_partition_delta_and_emit(self, tmp_path, capsys):
+        argv = ["analyze", "--scenario", "fine.json", "--delta", "3/10"]
+        assert main([*argv, "--emit", "canonical.json"]) == EXIT_OK
+        assert capsys.readouterr().out == GOLDEN_ANALYZE_FINE
+        emitted = (tmp_path / "canonical.json").read_bytes()
+        assert emitted == GOLDEN_EMITTED_FINE.encode("utf-8")

@@ -25,6 +25,7 @@ from newcomb.errors import (
     PerfectKnowledgeError,
     UnknownOmegaValueError,
     ZeroProbabilityEventError,
+    ZeroTotalWeightError,
 )
 from strategies import prediction_models, scenarios
 
@@ -127,6 +128,13 @@ class TestJoint:
         assert len(joint) == 2
         assert joint.weight(JointAtom(0, Decision.TWO_BOX, False)) == HALF
         assert joint.weight(JointAtom(1, Decision.ONE_BOX, True)) == HALF
+
+    def test_prior_off_unit_mass_is_refused_not_rescaled(self):
+        model = PredictionModel(((F(1, 10), HALF), (F(9, 10), HALF)))
+        # a prior corrupted after validation: its weights now sum to 3/2
+        object.__setattr__(model, "support", ((F(1, 10), HALF), (F(9, 10), F(1))))
+        with pytest.raises(ZeroTotalWeightError, match="3/2"):
+            build_joint(NewcombScenario(model, F(1), F(2)))
 
     @given(scenarios(require_imperfect=False))
     @settings(max_examples=60)

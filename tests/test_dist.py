@@ -99,9 +99,6 @@ class TestQueries:
 
     def test_mean_and_moments(self):
         d = FiniteDist.from_weights([(0, F(1)), (2, F(1))])
-        mean, var = d.moments(lambda x: x)
-        assert mean == 1
-        assert var == 1
         assert d.mean(lambda x: 3 * x) == 3
 
     def test_map_merges_images(self):
