@@ -13,6 +13,7 @@ parentheses; files and CSV cells carry only the exact form.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -219,14 +220,14 @@ def _cmd_sweep(args) -> int:
     ratios = _parse_rational_list(args.ratio, "--ratio")
     rows = list(_sweep_rows(ps, spreads, ratios))
     if args.output is None:
-        writer = csv.writer(sys.stdout)
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        target = open(args.output, "w", newline="", encoding="utf-8")
+    with target as fh:
+        writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         writer.writerows(rows)
-    else:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
-            writer.writerows(rows)
+    if args.output is not None:
         print(f"wrote {len(rows)} row(s) to {args.output}")
     return EXIT_OK
 

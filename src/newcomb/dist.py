@@ -1,9 +1,9 @@
 """Finite probability distributions with exact rational weights.
 
 A FiniteDist is an immutable map from hashable outcomes to Fraction
-weights that sum to exactly 1. All probability computed downstream of
-this module (conditioning, marginals, means) stays in Fraction
-arithmetic; floats appear only in Monte Carlo estimation and display.
+weights that sum to exactly 1. Weights and mean values pass through
+rational.coerce_fraction, which refuses floats, so conditioning,
+marginals and means downstream stay in exact Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (
     ZeroProbabilityEventError,
     ZeroTotalWeightError,
 )
-from .rational import describe
+from .rational import coerce_fraction, describe
 
 T = TypeVar("T", bound=Hashable)
 U = TypeVar("U", bound=Hashable)
@@ -45,13 +45,14 @@ class FiniteDist(Generic[T]):
 
         Duplicate outcomes merge, zero-weight outcomes drop, and the
         result is scaled to total mass 1. Raises EmptyDistributionError,
-        NegativeWeightError, or ZeroTotalWeightError.
+        NegativeWeightError, ZeroTotalWeightError, or InvalidModelError
+        for a weight that is not a Fraction or an int.
         """
         merged: dict[T, Fraction] = {}
         saw_any = False
         for outcome, raw in pairs:
             saw_any = True
-            w = Fraction(raw)
+            w = coerce_fraction(raw, "weight")
             if w < 0:
                 raise NegativeWeightError(
                     f"weight {describe(w)} for outcome "
@@ -73,6 +74,7 @@ class FiniteDist(Generic[T]):
             raise EmptyDistributionError("distribution has no atoms")
         total = Fraction(0)
         for outcome, w in self.atoms:
+            coerce_fraction(w, "atom weight")
             if w <= 0:
                 raise NegativeWeightError(
                     f"atom weight for {describe(outcome, repr)} must be positive, "
@@ -136,4 +138,7 @@ class FiniteDist(Generic[T]):
         return FiniteDist(atoms=tuple(merged.items()))
 
     def mean(self, f: Callable[[T], Fraction | int]) -> Fraction:
-        return sum((w * Fraction(f(x)) for x, w in self.atoms), Fraction(0))
+        return sum(
+            (w * coerce_fraction(f(x), "mean value") for x, w in self.atoms),
+            Fraction(0),
+        )

@@ -235,10 +235,11 @@ def compare_to_exact(
     the exact value (deviation 0 or infinity). Unavailable estimates
     produce rows with deviation None, never a fabricated zero.
     """
-    summary = core.scenario_summary(scenario)
+    p = scenario.prediction.p
     pairs = (
-        ("p", scenario.prediction.p, report.est_p),
-        ("prior_box_full", summary.prior_box_full, report.est_prior_full),
+        ("p", p, report.est_p),
+        # the box fills with probability omega, so P(full) is the prior mean
+        ("prior_box_full", p, report.est_prior_full),
         (
             "posterior_full_onebox",
             core.posterior_box_full(scenario, Decision.ONE_BOX),

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvalidModelError, InvalidScenarioError, ScenarioParseError
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str, *, what: str = "value") -> Fraction:
@@ -30,7 +30,8 @@ def parse_rational(text: str, *, what: str = "value") -> Fraction:
         raise ScenarioParseError(
             f"{what}: expected a rational as a string, got {type(text).__name__}"
         )
-    if not _RATIONAL_RE.match(text):
+    # fullmatch, not match with "$": "$" also matches before a final "\n"
+    if not _RATIONAL_RE.fullmatch(text):
         raise ScenarioParseError(
             f"{what}: {text!r} is not of the form '<int>' or '<int>/<posint>'"
         )

@@ -32,17 +32,17 @@ class CheckResult:
 
 
 def random_prediction_model(
-    rng: random.Random,
-    max_support: int = 6,
-    max_denominator: int = 16,
-    require_imperfect: bool = True,
+    rng: random.Random, max_support: int = 6, require_imperfect: bool = True
 ) -> PredictionModel:
-    """A valid random prior: distinct omegas in [0, 1], weights sum to 1."""
+    """A valid random prior: distinct omegas in [0, 1], weights sum to 1.
+
+    Each omega has a denominator of at most 16.
+    """
     while True:
         k = rng.randint(1, max_support)
         omegas: set[Fraction] = set()
         while len(omegas) < k:
-            den = rng.randint(1, max_denominator)
+            den = rng.randint(1, 16)
             omegas.add(Fraction(rng.randint(0, den), den))
         pairs = [(omega, Fraction(rng.randint(1, 20))) for omega in sorted(omegas)]
         model = PredictionModel.from_weights(pairs)
@@ -61,15 +61,8 @@ def random_scenario(
     )
 
 
-def random_refinement(
-    rng: random.Random, max_support: int = 8, max_denominator: int = 16
-) -> RefinementModel:
-    model = random_prediction_model(
-        rng,
-        max_support=max_support,
-        max_denominator=max_denominator,
-        require_imperfect=False,
-    )
+def random_refinement(rng: random.Random) -> RefinementModel:
+    model = random_prediction_model(rng, max_support=8, require_imperfect=False)
     n = len(model.support)
     order = list(range(n))
     rng.shuffle(order)
@@ -83,12 +76,9 @@ def random_refinement(
     return RefinementModel(fine=model, blocks=tuple(blocks))
 
 
-def random_beliefs(
-    rng: random.Random, n: int | None = None, max_boxes: int = 10
-) -> tuple[Fraction, ...]:
-    """A belief vector over n boxes: entries in (0, 1) summing to 1."""
-    if n is None:
-        n = rng.randint(2, max_boxes)
+def random_beliefs(rng: random.Random) -> tuple[Fraction, ...]:
+    """A belief vector over 2 to 10 boxes: entries in (0, 1) summing to 1."""
+    n = rng.randint(2, 10)
     raw = [rng.randint(1, 30) for _ in range(n)]
     total = sum(raw)
     return tuple(Fraction(x, total) for x in raw)

@@ -320,6 +320,23 @@ class TestSimulate:
         assert captured.out == ""
         assert "--flag-threshold" in captured.err
 
+    def test_builds_no_joint(self, s1_path, capsys, monkeypatch):
+        # every exact value it prints has a closed form; the joint is the
+        # independent route of the checks, not of a simulation
+        honest = core.build_joint
+        builds = []
+
+        def counting(scenario):
+            builds.append(len(scenario.prediction.support))
+            return honest(scenario)
+
+        monkeypatch.setattr(core, "build_joint", counting)
+        code = main(
+            ["simulate", "--scenario", s1_path, "--samples", "1000", "--seed", "1"]
+        )
+        assert code == EXIT_OK
+        assert builds == []
+
     def test_bad_samples_exit_data(self, s1_path, capsys):
         code = main(
             ["simulate", "--scenario", s1_path, "--samples", "0", "--seed", "1"]
@@ -389,6 +406,16 @@ LONG_WEIGHTS = json.dumps(
         ],
     }
 )
+# "$" in a regex also matches before a final newline; the grammar must not
+TRAILING_NEWLINES = json.dumps(
+    {
+        "prediction": [
+            {"omega": "1/10\n", "weight": "1/2\n"},
+            {"omega": "9/10\n", "weight": "1/2\n"},
+        ],
+        "rewards": {"r": "1000\n", "R": "1000000\n"},
+    }
+)
 
 
 class TestHostileInputs:
@@ -413,6 +440,7 @@ class TestHostileInputs:
             (["analyze"], "[" * 100_000 + "]" * 100_000, EXIT_DATA),
             (["analyze"], LONG_RATIO, EXIT_DATA),
             (["analyze"], LONG_WEIGHTS, EXIT_DATA),
+            (["analyze"], TRAILING_NEWLINES, EXIT_DATA),
         ],
         ids=[
             "analyze-huge-R",
@@ -423,6 +451,7 @@ class TestHostileInputs:
             "deep-nesting",
             "analyze-long-output",
             "long-weight-sum",
+            "trailing-newlines",
         ],
     )
     def test_exit_code_without_traceback(

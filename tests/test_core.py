@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,13 @@ class TestPredictionModel:
     def test_floats_rejected(self):
         with pytest.raises(InvalidModelError):
             PredictionModel(((0.5, F(1)),))
+
+    @pytest.mark.parametrize(
+        "bad", [0.9, "9/10", True, Decimal("0.9")], ids=lambda v: type(v).__name__
+    )
+    def test_from_weights_refuses_inexact_weights(self, bad):
+        with pytest.raises(InvalidModelError, match="Fraction or int"):
+            PredictionModel.from_weights([(F(1, 10), F(1, 10)), (F(9, 10), bad)])
 
     def test_perfect_knowledge_boundaries(self):
         assert not PredictionModel(((F(0), F(1)),)).is_imperfect

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,10 @@ F = Fraction
 # 1/(3...3) + 1/(7...7): each term prints, but the sum's reduced
 # denominator has about 6000 digits, past Python's int-string limit
 LONG_SUM_TERMS = (F(1, int("3" * 3000)), F(1, int("7" * 3001)))
+
+# weights that are not exact rationals: coercing any of them would
+# launder rounding error or text parsing into exact arithmetic
+INEXACT_WEIGHTS = [0.5, "1/2", True, Decimal("0.5")]
 
 raw_weightings = st.lists(
     st.tuples(
@@ -71,6 +76,15 @@ class TestConstruction:
         with pytest.raises(NegativeWeightError):
             FiniteDist(atoms=(("a", F(0)), ("b", F(1))))
 
+    @pytest.mark.parametrize(
+        "bad", INEXACT_WEIGHTS, ids=lambda v: type(v).__name__
+    )
+    def test_inexact_weights_are_refused(self, bad):
+        with pytest.raises(InvalidModelError, match="Fraction or int"):
+            FiniteDist.from_weights([("a", bad), ("b", F(1))])
+        with pytest.raises(InvalidModelError, match="Fraction or int"):
+            FiniteDist(atoms=(("a", bad), ("b", F(1, 2))))
+
 
 class TestEquality:
     def test_order_insensitive(self):
@@ -100,6 +114,14 @@ class TestQueries:
     def test_mean_and_moments(self):
         d = FiniteDist.from_weights([(0, F(1)), (2, F(1))])
         assert d.mean(lambda x: 3 * x) == 3
+
+    @pytest.mark.parametrize(
+        "bad", INEXACT_WEIGHTS, ids=lambda v: type(v).__name__
+    )
+    def test_mean_refuses_inexact_values(self, bad):
+        d = FiniteDist.from_weights([(0, F(1)), (2, F(1))])
+        with pytest.raises(InvalidModelError, match="Fraction or int"):
+            d.mean(lambda x: bad)
 
     def test_map_merges_images(self):
         d = FiniteDist.from_weights([(-1, F(1)), (1, F(1)), (2, F(2))])

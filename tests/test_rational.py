@@ -50,6 +50,8 @@ class TestParse:
             "1/two",
             "0x10",
             "nan",
+            "1/2\n",
+            "3\n",
         ],
     )
     def test_grammar_rejections(self, bad):
