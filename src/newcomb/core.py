@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple
 
-from .dist import FiniteDist
+from .dist import FiniteDist, _merged_numerators
 from .errors import (
     InvalidModelError,
     PerfectKnowledgeError,
@@ -81,35 +82,45 @@ class PredictionModel:
             )
         if not cleaned:
             raise InvalidModelError("support is empty")
-        cleaned.sort(key=lambda pair: pair[0])
-        seen = set()
-        total = Fraction(0)
-        first = Fraction(0)
-        second = Fraction(0)
-        for omega, weight in cleaned:
-            if not 0 <= omega <= 1:
+        # over the lcms D_w of the weight denominators and D_o of the omega
+        # denominators, every weight q and every omega a is an int
+        d_w = lcm(*(q.denominator for _, q in cleaned))
+        d_o = lcm(*(omega.denominator for omega, _ in cleaned))
+        qs = [q.numerator * (d_w // q.denominator) for _, q in cleaned]
+        omegas = [omega.numerator * (d_o // omega.denominator) for omega, _ in cleaned]
+        order = sorted(range(len(cleaned)), key=omegas.__getitem__)
+        previous = None
+        for i in order:
+            omega, weight = cleaned[i]
+            if not 0 <= omegas[i] <= d_o:
                 raise InvalidModelError(f"omega {describe(omega)} lies outside [0, 1]")
-            if omega in seen:
+            # sorted, so a repeated omega follows its first occurrence
+            if omegas[i] == previous:
                 raise InvalidModelError(
                     f"omega {describe(omega)} appears twice; use from_weights to merge"
                 )
-            seen.add(omega)
-            if weight <= 0:
+            previous = omegas[i]
+            if qs[i] <= 0:
                 raise InvalidModelError(
                     f"weight {describe(weight)} for omega {describe(omega)} "
                     "must be positive"
                 )
-            total += weight
-            first += weight * omega
-            second += weight * omega * omega
-        if total != 1:
-            raise InvalidModelError(f"weights sum to {describe(total)}, not 1")
-        object.__setattr__(self, "support", tuple(cleaned))
+        if sum(qs) != d_w:
+            raise InvalidModelError(
+                f"weights sum to {describe(Fraction(sum(qs), d_w))}, not 1"
+            )
+        first = sum(q * a for q, a in zip(qs, omegas))
+        second = sum(q * a * a for q, a in zip(qs, omegas))
+        object.__setattr__(self, "support", tuple(cleaned[i] for i in order))
         # the moments are computed once, here; as plain attributes rather
         # than fields they stay out of equality, hashing and repr
-        object.__setattr__(self, "_p", first)
-        object.__setattr__(self, "_second_moment", second)
-        object.__setattr__(self, "_variance", second - first * first)
+        object.__setattr__(self, "_p", Fraction(first, d_w * d_o))
+        object.__setattr__(self, "_second_moment", Fraction(second, d_w * d_o * d_o))
+        object.__setattr__(
+            self,
+            "_variance",
+            Fraction(second * d_w - first * first, (d_w * d_o) ** 2),
+        )
 
     @classmethod
     def from_weights(
@@ -118,11 +129,15 @@ class PredictionModel:
         """Build from raw nonnegative weights.
 
         Duplicate omega values merge and weights normalize to total 1.
+        Empty, negative and zero-total input raise as
+        FiniteDist.from_weights does.
         """
-        dist = FiniteDist.from_weights(
+        merged, total = _merged_numerators(
             (coerce_fraction(omega, "omega"), weight) for omega, weight in pairs
         )
-        return cls(support=dist.atoms)
+        return cls(
+            support=tuple((omega, Fraction(n, total)) for omega, n in merged.items())
+        )
 
     @property
     def p(self) -> Fraction:
@@ -140,7 +155,8 @@ class PredictionModel:
     @property
     def is_imperfect(self) -> bool:
         """True when 0 < p < 1, so both decisions have positive mass."""
-        return 0 < self.p < 1
+        p = self.p
+        return 0 < p.numerator < p.denominator
 
     def require_imperfect(self) -> None:
         if not self.is_imperfect:
@@ -213,19 +229,29 @@ def build_joint(scenario: NewcombScenario) -> FiniteDist[JointAtom]:
 
     Given d, the decision flip and the filling flip are independent,
     each coming up "one-box" / "full" with probability omega_d. Each
-    atom's weight is the exact product q_d * p_decision * p_box, so the
-    weights sum to 1 without normalizing; FiniteDist checks that they do.
-    Zero-weight atoms are pruned.
+    atom's weight is the exact product q_d * p_decision * p_box. Over
+    D = D_w * D_o**2 (the lcms of the weight and of the omega
+    denominators) every such product is an int, and the joint holds
+    those ints without normalizing them; FiniteDist checks that they
+    sum to D. Zero-weight atoms are pruned. The support is read afresh
+    on every call, and the prior's moments are never used.
     """
-    atoms = []
-    for d, (omega, q) in enumerate(scenario.prediction.support):
-        for decision in Decision:
-            p_dec = omega if decision is Decision.ONE_BOX else 1 - omega
-            for box_full in (False, True):
-                w = q * p_dec * (omega if box_full else 1 - omega)
+    support = scenario.prediction.support
+    d_w = lcm(*(q.denominator for _, q in support))
+    d_o = lcm(*(omega.denominator for omega, _ in support))
+    num = {}
+    for d, (omega, q) in enumerate(support):
+        a, den = omega.numerator, omega.denominator
+        b = den - a
+        # q_d over D, to be scaled by the small ints of omega and 1 - omega:
+        # one large product per support point, not one per atom
+        share = q.numerator * (d_w // q.denominator) * (d_o // den) ** 2
+        for decision, p_dec in ((Decision.ONE_BOX, a), (Decision.TWO_BOX, b)):
+            for box_full, p_box in ((False, b), (True, a)):
+                w = p_dec * p_box * share
                 if w:
-                    atoms.append((JointAtom(d, decision, box_full), w))
-    return FiniteDist(atoms=tuple(atoms))
+                    num[JointAtom(d, decision, box_full)] = w
+    return FiniteDist._from_numerators(num, d_w * d_o * d_o)
 
 
 def scenario_summary(scenario: NewcombScenario) -> ScenarioSummary:
@@ -322,14 +348,17 @@ def authority_table(scenario: NewcombScenario) -> dict[Fraction, Fraction]:
     coin.
     """
     support = scenario.prediction.support
-    mass = [Fraction(0)] * len(support)
-    onebox = [Fraction(0)] * len(support)
-    for atom, w in build_joint(scenario).atoms:
+    mass = [0] * len(support)
+    onebox = [0] * len(support)
+    # the joint's int numerators, all over one denominator
+    for atom, w in build_joint(scenario)._num.items():
         mass[atom.d] += w
         if atom.decision is Decision.ONE_BOX:
             onebox[atom.d] += w
     # every support weight is positive, so every mass[d] is too
-    return {omega: onebox[d] / mass[d] for d, (omega, _) in enumerate(support)}
+    return {
+        omega: Fraction(onebox[d], mass[d]) for d, (omega, _) in enumerate(support)
+    }
 
 
 def authority_check(scenario: NewcombScenario, omega_value) -> Fraction:

@@ -17,6 +17,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def normalize(pairs):
+    """Raw nonnegative weights as {outcome: probability}, in first-occurrence
+    order. Duplicates merge and zero-weight outcomes drop."""
+    merged = {}
+    for outcome, w in pairs:
+        merged[outcome] = merged.get(outcome, Fraction(0)) + Fraction(w)
+    total = sum(merged.values(), Fraction(0))
+    return {x: w / total for x, w in merged.items() if w}
+
+
+def condition(dist, pred):
+    """{outcome: probability} restricted to pred and rescaled to mass 1."""
+    mass = event_prob(dist, pred)
+    return {x: w / mass for x, w in dist.items() if pred(x)}
+
+
+def pushforward(dist, f):
+    image = {}
+    for x, w in dist.items():
+        image[f(x)] = image.get(f(x), Fraction(0)) + w
+    return image
+
+
+def expectation(dist, f):
+    return sum((w * f(x) for x, w in dist.items()), Fraction(0))
+
+
 def enumerate_joint(support):
     """Weight of every (d, dec, box) atom, as a dict. Zero atoms omitted.
 

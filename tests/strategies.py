@@ -39,6 +39,36 @@ def prediction_models(draw, max_support: int = 5, require_imperfect: bool = True
     return model
 
 
+# the primes from 29 to 400: below 23 * 23, trial division up to 19 will do
+PRIMES = [n for n in range(29, 400) if all(n % d for d in range(2, 20))]
+
+
+@st.composite
+def many_prime_priors(draw, max_support: int = 12):
+    """A prior whose omegas and weights carry many distinct prime denominators.
+
+    omega_i = k_i/p_i and weight_i = j_i/q_i for distinct primes p_i, q_i;
+    the last weight takes the rest of the mass, so its denominator is
+    the product of all the q_i. Each j_i/q_i is at most 1/max_support,
+    so the other weights leave it positive.
+    """
+    size = draw(st.integers(min_value=2, max_value=max_support))
+    primes = draw(
+        st.lists(
+            st.sampled_from(PRIMES),
+            min_size=2 * size - 1,
+            max_size=2 * size - 1,
+            unique=True,
+        )
+    )
+    omegas = [Fraction(draw(st.integers(1, p - 1)), p) for p in primes[:size]]
+    weights = [
+        Fraction(draw(st.integers(1, q // max_support)), q) for q in primes[size:]
+    ]
+    weights.append(1 - sum(weights))
+    return PredictionModel(tuple(zip(omegas, weights)))
+
+
 @st.composite
 def scenarios(draw, require_imperfect: bool = True):
     return NewcombScenario(

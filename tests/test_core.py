@@ -21,14 +21,17 @@ from newcomb import (
     preferred_decision,
     scenario_summary,
 )
+from newcomb.dist import FiniteDist
 from newcomb.errors import (
+    EmptyDistributionError,
     InvalidModelError,
+    NegativeWeightError,
     PerfectKnowledgeError,
     UnknownOmegaValueError,
     ZeroProbabilityEventError,
     ZeroTotalWeightError,
 )
-from strategies import prediction_models, scenarios
+from strategies import many_prime_priors, prediction_models, scenarios
 
 F = Fraction
 HALF = F(1, 2)
@@ -89,6 +92,33 @@ class TestPredictionModel:
         with pytest.raises(InvalidModelError, match="Fraction or int"):
             PredictionModel.from_weights([(F(1, 10), F(1, 10)), (F(9, 10), bad)])
 
+    @pytest.mark.parametrize(
+        "pairs, exc",
+        [
+            ([], EmptyDistributionError),
+            ([(HALF, F(-1)), (F(1, 4), F(2))], NegativeWeightError),
+            ([(HALF, 0), (F(1, 4), F(0))], ZeroTotalWeightError),
+        ],
+    )
+    def test_from_weights_keeps_its_error_classes(self, pairs, exc):
+        with pytest.raises(exc):
+            PredictionModel.from_weights(pairs)
+
+    def test_from_weights_builds_no_distribution(self, monkeypatch):
+        """Merging and normalizing happen in one pass, with no FiniteDist
+        built and thrown away."""
+        honest = FiniteDist.__dict__["from_weights"].__func__
+        calls = []
+
+        def counting(cls, pairs):
+            calls.append(cls)
+            return honest(cls, pairs)
+
+        monkeypatch.setattr(FiniteDist, "from_weights", classmethod(counting))
+        model = PredictionModel.from_weights([(HALF, 1), (F(1, 4), 2), (HALF, 1)])
+        assert model.support == ((F(1, 4), HALF), (HALF, HALF))
+        assert calls == []
+
     def test_perfect_knowledge_boundaries(self):
         assert not PredictionModel(((F(0), F(1)),)).is_imperfect
         assert not PredictionModel(((F(1), F(1)),)).is_imperfect
@@ -100,6 +130,30 @@ class TestPredictionModel:
         assert model.p == oracle.prior_mean(model.support)
         assert model.variance == oracle.prior_variance(model.support)
         assert 0 <= model.variance <= model.p * (1 - model.p)
+
+    @given(many_prime_priors())
+    @settings(max_examples=40)
+    def test_many_prime_denominators(self, model):
+        """Moments, joint, posteriors and authority stay exact when the
+        common denominator is a product of many distinct primes."""
+        support = model.support
+        assert model.p == oracle.prior_mean(support)
+        assert model.second_moment == sum(q * w * w for w, q in support)
+        assert model.variance == oracle.prior_variance(support)
+        scenario = NewcombScenario(model, F(3), F(7))
+        joint = build_joint(scenario)
+        expected = oracle.enumerate_joint(support)
+        assert len(joint) == len(expected)
+        for (d, dec, box), weight in expected.items():
+            atom = JointAtom(
+                d, Decision.ONE_BOX if dec else Decision.TWO_BOX, bool(box)
+            )
+            assert joint.weight(atom) == weight
+        for decision, flag in ((Decision.ONE_BOX, 1), (Decision.TWO_BOX, 0)):
+            closed = posterior_box_full(scenario, decision)
+            assert closed == posterior_box_full_via_joint(scenario, decision)
+            assert closed == oracle.posterior_full(support, flag)
+        assert list(authority_table(scenario).items()) == [(w, w) for w, _ in support]
 
 
 class TestScenario:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
 from newcomb.dist import FiniteDist
 from newcomb.errors import (
     EmptyDistributionError,
@@ -32,6 +35,25 @@ raw_weightings = st.lists(
     min_size=1,
     max_size=12,
 ).filter(lambda pairs: sum(w for _, w in pairs) > 0)
+
+int_weightings = st.lists(
+    st.tuples(st.sampled_from("abcde"), st.integers(min_value=1, max_value=30)),
+    min_size=1,
+    max_size=12,
+)
+
+# a value per outcome, with repeats, so that mean has atoms to group
+outcome_values = st.fixed_dictionaries(
+    {x: st.sampled_from([F(0), F(1, 3), F(5), F(-7, 4)]) for x in "abcde"}
+)
+
+
+def in_e(x):
+    return x in "abc"
+
+
+def in_f(x):
+    return x in "bcd"
 
 
 class TestConstruction:
@@ -76,6 +98,11 @@ class TestConstruction:
         with pytest.raises(NegativeWeightError):
             FiniteDist(atoms=(("a", F(0)), ("b", F(1))))
 
+    def test_int_atom_weights_come_back_as_fractions(self):
+        d = FiniteDist(atoms=(("a", 1),))
+        assert type(d.weight("a")) is Fraction
+        assert [type(w) for _, w in d.atoms] == [Fraction]
+
     @pytest.mark.parametrize(
         "bad", INEXACT_WEIGHTS, ids=lambda v: type(v).__name__
     )
@@ -102,6 +129,27 @@ class TestEquality:
         d1 = FiniteDist.from_weights([("a", F(1)), ("b", F(1))])
         d2 = FiniteDist.from_weights([("a", F(1)), ("b", F(3))])
         assert d1 != d2
+
+    def test_survives_pickle_and_copy(self):
+        d = FiniteDist.from_weights([("a", 1), ("b", 2)]).condition(lambda x: True)
+        for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert clone == d
+            assert clone.atoms == d.atoms
+        with pytest.raises(AttributeError):
+            d._den = 1
+
+    @given(int_weightings, st.integers(min_value=2, max_value=9))
+    def test_equal_whatever_the_denominator_held(self, pairs, k):
+        """Scaling every raw weight by k scales the denominator held inside
+        by k, and changes neither equality nor the hash."""
+        d1 = FiniteDist.from_weights(pairs)
+        d2 = FiniteDist.from_weights((x, k * w) for x, w in pairs)
+        d3 = FiniteDist(atoms=reversed(d1.atoms))
+        assert d2._den == k * d1._den
+        assert d1 == d2 == d3
+        assert hash(d1) == hash(d2) == hash(d3)
+        heavier = FiniteDist.from_weights(pairs + [("f", 1)])
+        assert heavier != d1 and d1 != heavier
 
 
 class TestQueries:
@@ -176,3 +224,46 @@ class TestConditioning:
         for outcome in d.support:
             if in_e(outcome):
                 assert conditioned.weight(outcome) == d.weight(outcome) / mass
+
+
+class TestAgainstFractionOracle:
+    """The int-numerator representation against plain Fraction sums."""
+
+    @given(raw_weightings)
+    def test_atoms_weight_prob_and_len(self, pairs):
+        d = FiniteDist.from_weights(pairs)
+        ref = oracle.normalize(pairs)
+        assert d.atoms == tuple(ref.items())
+        assert all(type(w) is Fraction for _, w in d.atoms)
+        assert len(d) == len(ref)
+        for outcome in "abcdez":
+            assert d.weight(outcome) == ref.get(outcome, 0)
+        for event in (in_e, in_f, lambda x: True, lambda x: False):
+            assert d.prob(event) == oracle.event_prob(ref, event)
+
+    @given(raw_weightings)
+    def test_condition_and_chained_condition(self, pairs):
+        d = FiniteDist.from_weights(pairs)
+        ref = oracle.normalize(pairs)
+        if oracle.event_prob(ref, in_e) == 0:
+            return
+        given_e = d.condition(in_e)
+        ref_e = oracle.condition(ref, in_e)
+        assert given_e.atoms == tuple(ref_e.items())
+        assert given_e.prob(in_f) == oracle.event_prob(ref_e, in_f)
+        if oracle.event_prob(ref_e, in_f) == 0:
+            return
+        chained = given_e.condition(in_f)
+        ref_ef = oracle.condition(ref_e, in_f)
+        assert chained.atoms == tuple(ref_ef.items())
+        assert len(chained) == len(ref_ef)
+
+    @given(raw_weightings, outcome_values)
+    def test_map_and_mean(self, pairs, values):
+        d = FiniteDist.from_weights(pairs)
+        ref = oracle.normalize(pairs)
+        image = d.map(values.__getitem__)
+        ref_image = oracle.pushforward(ref, values.__getitem__)
+        assert image.atoms == tuple(ref_image.items())
+        assert d.mean(values.__getitem__) == oracle.expectation(ref, values.__getitem__)
+        assert image.mean(lambda v: v) == oracle.expectation(ref_image, lambda v: v)
