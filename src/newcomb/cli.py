@@ -27,7 +27,6 @@ from .core import (
     PredictionModel,
     posterior_box_full,
     preferred_decision,
-    authority_table,
     scenario_summary,
 )
 from .errors import InvalidScenarioError, NewcombError
@@ -102,6 +101,10 @@ def _cmd_analyze(args) -> int:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
     summary = scenario_summary(scenario)
+    # a bad --delta exits before anything is printed
+    if args.delta is not None:
+        delta = parse_rational(args.delta, what="--delta")
+        report = check_delta_omniscience(scenario.prediction, delta)
     small, large = scenario.small_reward, scenario.large_reward
     print(f"support points: {len(scenario.prediction.support)}")
     print(
@@ -124,7 +127,7 @@ def _cmd_analyze(args) -> int:
     print(f"E[reward | one-box]: {_fmt(pref.expected_onebox)}")
     print(f"E[reward | two-box]: {_fmt(pref.expected_twobox)}")
     print(f"preference: {pref.label.value}")
-    for omega, value in authority_table(scenario).items():
+    for omega, value in summary.authority:
         print(
             f"authority: P(one-box | omega = {format_rational(omega)}) = "
             f"{_fmt(value)}"
@@ -148,8 +151,6 @@ def _cmd_analyze(args) -> int:
         )
 
     if args.delta is not None:
-        delta = parse_rational(args.delta, what="--delta")
-        report = check_delta_omniscience(scenario.prediction, delta)
         verdict = "yes" if report.is_omniscient else "no"
         print(f"delta-omniscient at delta = {format_rational(delta)}: {verdict}")
         print(

@@ -206,13 +206,15 @@ class ScenarioSummary:
 
     prior_box_full is recomputed from the joint distribution rather than
     copied from p, so their equality is a checkable fact. threshold is
-    the reward ratio r/R at which the preference flips.
+    the reward ratio r/R at which the preference flips. authority holds
+    authority_table's pairs, from the same joint, as a hashable tuple.
     """
 
     p: Fraction
     sigma2: Fraction
     prior_box_full: Fraction
     threshold: Fraction
+    authority: tuple[tuple[Fraction, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def build_joint(scenario: NewcombScenario) -> FiniteDist[JointAtom]:
 
 
 def scenario_summary(scenario: NewcombScenario) -> ScenarioSummary:
-    """p, sigma squared, the prior fill probability, and the threshold.
+    """p, sigma squared, the threshold, prior P(full) and the authority pairs.
 
     Requires an imperfect prior (0 < p < 1) since the threshold divides
     by p(1 - p).
@@ -265,12 +267,12 @@ def scenario_summary(scenario: NewcombScenario) -> ScenarioSummary:
     p = model.p
     sigma2 = model.variance
     joint = build_joint(scenario)
-    prior_full = joint.prob(lambda a: a.box_full)
     return ScenarioSummary(
         p=p,
         sigma2=sigma2,
-        prior_box_full=prior_full,
+        prior_box_full=joint.prob(lambda a: a.box_full),
         threshold=sigma2 / (p * (1 - p)),
+        authority=_authority_pairs(scenario, joint),
     )
 
 
@@ -289,13 +291,11 @@ def posterior_box_full(scenario: NewcombScenario, decision: Decision) -> Fractio
     return p - sigma2 / (1 - p)
 
 
-def posterior_box_full_via_joint(
-    scenario: NewcombScenario, decision: Decision
-) -> Fraction:
-    """Same posterior, by conditioning the enumerated joint instead."""
+def posterior_box_full_via_joint(scenario: NewcombScenario) -> dict[Decision, Fraction]:
+    """Both posteriors, by conditioning one enumerated joint instead."""
     joint = build_joint(scenario)
-    given = joint.condition(lambda a: a.decision is decision)
-    return given.prob(lambda a: a.box_full)
+    given = {d: joint.condition(lambda a: a.decision is d) for d in Decision}
+    return {d: g.prob(lambda a: a.box_full) for d, g in given.items()}
 
 
 def _payout(scenario: NewcombScenario, atom: JointAtom) -> Fraction:
@@ -313,13 +313,11 @@ def expected_reward(scenario: NewcombScenario, decision: Decision) -> Fraction:
     return scenario.large_reward * full + scenario.small_reward
 
 
-def expected_reward_via_joint(
-    scenario: NewcombScenario, decision: Decision
-) -> Fraction:
-    """Same expectation, as the mean payout of the conditioned joint."""
+def expected_reward_via_joint(scenario: NewcombScenario) -> dict[Decision, Fraction]:
+    """Both expectations, as mean payouts of one conditioned joint."""
     joint = build_joint(scenario)
-    given = joint.condition(lambda a: a.decision is decision)
-    return given.mean(lambda a: _payout(scenario, a))
+    given = {d: joint.condition(lambda a: a.decision is d) for d in Decision}
+    return {d: g.mean(lambda a: _payout(scenario, a)) for d, g in given.items()}
 
 
 def preferred_decision(scenario: NewcombScenario) -> Preference:
@@ -338,27 +336,35 @@ def preferred_decision(scenario: NewcombScenario) -> Preference:
     return Preference(label=label, expected_onebox=one, expected_twobox=two)
 
 
-def authority_table(scenario: NewcombScenario) -> dict[Fraction, Fraction]:
-    """P(one-box | omega = omega_d) for every support point, from the joint.
+def _authority_pairs(
+    scenario: NewcombScenario, joint: FiniteDist[JointAtom]
+) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(omega_d, P(one-box | omega = omega_d)) for each d, in support order.
 
-    One pass over one joint sums, for each d, its total mass and its
-    one-box mass; their ratio is the conditional. The keys are the
-    support's omegas in support order, and each value equals its key:
-    within a support point, the decision frequency is the predictor's
-    coin.
+    One pass over the joint sums each d's mass and one-box mass.
     """
     support = scenario.prediction.support
     mass = [0] * len(support)
     onebox = [0] * len(support)
     # the joint's int numerators, all over one denominator
-    for atom, w in build_joint(scenario)._num.items():
+    for atom, w in joint._num.items():
         mass[atom.d] += w
         if atom.decision is Decision.ONE_BOX:
             onebox[atom.d] += w
     # every support weight is positive, so every mass[d] is too
-    return {
-        omega: Fraction(onebox[d], mass[d]) for d, (omega, _) in enumerate(support)
-    }
+    return tuple(
+        (omega, Fraction(onebox[d], mass[d])) for d, (omega, _) in enumerate(support)
+    )
+
+
+def authority_table(scenario: NewcombScenario) -> dict[Fraction, Fraction]:
+    """P(one-box | omega = omega_d) for every support point, from the joint.
+
+    Keys are the support's omegas in order, and each value equals its
+    key: within a support point, the decision frequency is the
+    predictor's coin. Unlike scenario_summary, it accepts p = 0 or 1.
+    """
+    return dict(_authority_pairs(scenario, build_joint(scenario)))
 
 
 def authority_check(scenario: NewcombScenario, omega_value) -> Fraction:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from .errors import InvalidModelError, InvalidScenarioError, ScenarioParseError
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# significant digits of the rounded decimal shown next to an exact value
+_DECIMAL_DIGITS = 6
 
 
 def parse_rational(text: str, *, what: str = "value") -> Fraction:
@@ -85,7 +87,7 @@ def describe(value, render=str) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def decimal_str(value: Fraction, digits: int = 6) -> str:
+def decimal_str(value: Fraction) -> str:
     """Rounded decimal rendering for display next to the exact form.
 
     A nonzero value outside the range of normal floats is rounded from
@@ -98,9 +100,9 @@ def decimal_str(value: Fraction, digits: int = 6) -> str:
     except OverflowError:
         as_float = None
     if as_float is not None and (abs(as_float) >= sys.float_info.min or not value):
-        return f"{as_float:.{digits}g}"
-    context = decimal.Context(prec=digits)
+        return f"{as_float:.{_DECIMAL_DIGITS}g}"
+    context = decimal.Context(prec=_DECIMAL_DIGITS)
     rounded = context.divide(
         decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
     )
-    return f"{rounded.normalize(context):.{digits}g}"
+    return f"{rounded.normalize(context):.{_DECIMAL_DIGITS}g}"

@@ -83,16 +83,6 @@ class RefinementModel:
                 f"indices {missing} are not covered by any block"
             )
 
-    def block_weight(self, block: tuple[int, ...]) -> Fraction:
-        support = self.fine.support
-        return sum((support[i][1] for i in block), Fraction(0))
-
-    def block_mean(self, block: tuple[int, ...]) -> Fraction:
-        """Weighted mean omega of the block: the coarse value it maps to."""
-        support = self.fine.support
-        w = self.block_weight(block)
-        return sum((support[i][1] * support[i][0] for i in block), Fraction(0)) / w
-
 
 @dataclass(frozen=True)
 class VarianceDecomposition:
@@ -116,10 +106,13 @@ def coarsen(model: RefinementModel) -> PredictionModel:
 
     Blocks whose means coincide merge into a single support point.
     """
-    return PredictionModel.from_weights(
-        (model.block_mean(block), model.block_weight(block))
-        for block in model.blocks
-    )
+    support = model.fine.support
+    pairs = []
+    for block in model.blocks:
+        mass = sum((support[i][1] for i in block), Fraction(0))
+        first = sum((support[i][1] * support[i][0] for i in block), Fraction(0))
+        pairs.append((first / mass, mass))
+    return PredictionModel.from_weights(pairs)
 
 
 def variance_decomposition(model: RefinementModel) -> VarianceDecomposition:
@@ -132,13 +125,14 @@ def variance_decomposition(model: RefinementModel) -> VarianceDecomposition:
     support = model.fine.support
     expected_cond = Fraction(0)
     for block in model.blocks:
-        w = model.block_weight(block)
-        mean = model.block_mean(block)
-        second = (
-            sum((support[i][1] * support[i][0] ** 2 for i in block), Fraction(0))
-            / w
-        )
-        expected_cond += w * (second - mean * mean)
+        mass = first = second = Fraction(0)
+        for i in block:
+            omega, q = support[i]
+            mass += q
+            first += q * omega
+            second += q * omega * omega
+        # block mass times the block's variance, second/mass - (first/mass)**2
+        expected_cond += second - first * first / mass
     return VarianceDecomposition(
         fine_variance=model.fine.variance,
         coarse_variance=coarsen(model).variance,

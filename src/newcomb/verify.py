@@ -211,13 +211,11 @@ def _check_posterior_routes(rng: random.Random, trials: int) -> str:
     for _ in range(trials):
         scenario = random_scenario(rng)
         model = scenario.prediction
-        for decision in Decision:
-            closed = core.posterior_box_full(scenario, decision)
-            routed = core.posterior_box_full_via_joint(scenario, decision)
-            assert closed == routed, (closed, routed, model.support)
-            assert 0 <= closed <= 1
-        up = core.posterior_box_full(scenario, Decision.ONE_BOX)
-        down = core.posterior_box_full(scenario, Decision.TWO_BOX)
+        closed = {d: core.posterior_box_full(scenario, d) for d in Decision}
+        routed = core.posterior_box_full_via_joint(scenario)
+        assert closed == routed, (closed, routed, model.support)
+        assert all(0 <= value <= 1 for value in closed.values())
+        up, down = closed[Decision.ONE_BOX], closed[Decision.TWO_BOX]
         if model.variance > 0:
             assert down < model.p < up
         else:
@@ -228,10 +226,9 @@ def _check_posterior_routes(rng: random.Random, trials: int) -> str:
 def _check_expected_rewards(rng: random.Random, trials: int) -> str:
     for _ in range(trials):
         scenario = random_scenario(rng)
-        for decision in Decision:
-            closed = core.expected_reward(scenario, decision)
-            routed = core.expected_reward_via_joint(scenario, decision)
-            assert closed == routed, (closed, routed)
+        closed = {d: core.expected_reward(scenario, d) for d in Decision}
+        routed = core.expected_reward_via_joint(scenario)
+        assert closed == routed, (closed, routed)
     return f"{trials} models: closed-form expectations equal joint means"
 
 

@@ -86,12 +86,9 @@ def test_criterion_1_exact_identities(criterion, rng):
             down = core.posterior_box_full(scenario, Decision.TWO_BOX)
             assert up == p + sigma2 / p
             assert down == p - sigma2 / (1 - p)
-            assert up == core.posterior_box_full_via_joint(
-                scenario, Decision.ONE_BOX
-            )
-            assert down == core.posterior_box_full_via_joint(
-                scenario, Decision.TWO_BOX
-            )
+            routed = core.posterior_box_full_via_joint(scenario)
+            assert up == routed[Decision.ONE_BOX]
+            assert down == routed[Decision.TWO_BOX]
             assert up == oracle.posterior_full(support, 1)
             assert down == oracle.posterior_full(support, 0)
 

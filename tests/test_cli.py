@@ -101,6 +101,15 @@ class TestAnalyze:
         )
         assert "delta-omniscient at delta = 3/10: yes" in out
 
+    # 1/2 is out of range for p = 1/2, and 1.5 is not a rational's grammar
+    @pytest.mark.parametrize("delta", ["1/2", "1.5"])
+    def test_bad_delta_prints_nothing(self, delta, s1_path, capsys):
+        code = main(["analyze", "--scenario", s1_path, "--delta", delta])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("points", [2, 50])
     def test_joint_builds_do_not_grow_with_support(
         self, points, tmp_path, capsys, monkeypatch
@@ -128,7 +137,7 @@ class TestAnalyze:
         assert main(["analyze", "--scenario", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("authority: ") == points
-        assert builds == [points, points]
+        assert builds == [points]
 
     def test_emit_writes_canonical_file(self, s1_path, tmp_path, capsys):
         target = tmp_path / "canonical.json"

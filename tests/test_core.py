@@ -149,9 +149,10 @@ class TestPredictionModel:
                 d, Decision.ONE_BOX if dec else Decision.TWO_BOX, bool(box)
             )
             assert joint.weight(atom) == weight
+        routed = posterior_box_full_via_joint(scenario)
         for decision, flag in ((Decision.ONE_BOX, 1), (Decision.TWO_BOX, 0)):
             closed = posterior_box_full(scenario, decision)
-            assert closed == posterior_box_full_via_joint(scenario, decision)
+            assert closed == routed[decision]
             assert closed == oracle.posterior_full(support, flag)
         assert list(authority_table(scenario).items()) == [(w, w) for w, _ in support]
 
@@ -237,6 +238,14 @@ class TestSummary:
         summary = scenario_summary(scenario)
         assert summary.prior_box_full == scenario.prediction.p
 
+    @given(scenarios())
+    @settings(max_examples=60)
+    def test_authority_matches_the_table(self, scenario):
+        """The summary's authority pairs are authority_table's, in order."""
+        summary = scenario_summary(scenario)
+        assert summary.authority == tuple(authority_table(scenario).items())
+        assert hash(summary) == hash(scenario_summary(scenario))
+
 
 class TestPosteriors:
     def test_worked_values(self, symmetric_tenths):
@@ -255,16 +264,18 @@ class TestPosteriors:
         with pytest.raises(PerfectKnowledgeError):
             posterior_box_full(scenario, Decision.ONE_BOX)
         with pytest.raises(ZeroProbabilityEventError):
-            posterior_box_full_via_joint(scenario, Decision.ONE_BOX)
+            posterior_box_full_via_joint(scenario)
 
     @given(scenarios())
     @settings(max_examples=80)
     def test_three_routes_agree(self, scenario):
         """Closed form, joint conditioning, and the oracle all coincide."""
         support = scenario.prediction.support
+        routes = posterior_box_full_via_joint(scenario)
+        assert list(routes) == list(Decision)
         for decision, flag in ((Decision.ONE_BOX, 1), (Decision.TWO_BOX, 0)):
             closed = posterior_box_full(scenario, decision)
-            routed = posterior_box_full_via_joint(scenario, decision)
+            routed = routes[decision]
             brute = oracle.posterior_full(support, flag)
             assert closed == routed == brute
             assert 0 <= closed <= 1
@@ -292,9 +303,11 @@ class TestExpectedRewards:
     def test_routes_agree_with_oracle(self, scenario):
         support = scenario.prediction.support
         small, large = scenario.small_reward, scenario.large_reward
+        routes = expected_reward_via_joint(scenario)
+        assert list(routes) == list(Decision)
         for decision, flag in ((Decision.ONE_BOX, 1), (Decision.TWO_BOX, 0)):
             closed = expected_reward(scenario, decision)
-            routed = expected_reward_via_joint(scenario, decision)
+            routed = routes[decision]
             brute = oracle.expected_reward(support, flag, small, large)
             assert closed == routed == brute
 

@@ -123,11 +123,6 @@ class TestDecimal:
         assert decimal_str(Fraction(1, 3 * 10**320)) == "3.33333e-321"
         assert decimal_str(Fraction(0)) == "0"
 
-    def test_digit_override(self):
-        assert decimal_str(Fraction(1, 3), digits=2) == "0.33"
-        assert decimal_str(Fraction(10**400, 3), digits=2) == "3.3e+399"
-        assert decimal_str(Fraction(1, 3 * 10**400), digits=2) == "3.3e-401"
-
 
 class TestCoerce:
     def test_accepts_fraction_and_int(self):

@@ -7,6 +7,8 @@ from newcomb import all_ok, run_all
 from newcomb import core, impossibility
 from newcomb.verify import (
     _check_authority,
+    _check_expected_rewards,
+    _check_posterior_routes,
     builtin_scenarios,
     random_beliefs,
     random_prediction_model,
@@ -14,6 +16,20 @@ from newcomb.verify import (
 )
 
 F = Fraction
+
+
+@pytest.fixture
+def joint_builds(monkeypatch):
+    """The scenarios passed to core.build_joint, one per call."""
+    honest = core.build_joint
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return honest(scenario)
+
+    monkeypatch.setattr(core, "build_joint", counting)
+    return calls
 
 
 class TestBattery:
@@ -74,21 +90,22 @@ class TestBattery:
         assert not all_ok(results)
         assert any("deliberately broken" in r.detail for r in results)
 
-    def test_authority_builds_one_joint_per_model(self, monkeypatch):
-        honest = core.build_joint
-        calls = []
-
-        def counting(scenario):
-            calls.append(scenario)
-            return honest(scenario)
-
-        monkeypatch.setattr(core, "build_joint", counting)
+    def test_authority_builds_one_joint_per_model(self, joint_builds):
         trials = 25
         detail = _check_authority(random.Random(4), trials)
-        assert len(calls) == trials
+        assert len(joint_builds) == trials
         # the models have several support points each, so one joint per
         # point would show as more calls than trials
         assert int(detail.split()[0]) > trials
+
+    @pytest.mark.parametrize(
+        "check", [_check_posterior_routes, _check_expected_rewards]
+    )
+    def test_routes_build_one_joint_per_model(self, check, joint_builds):
+        trials = 25
+        check(random.Random(4), trials)
+        # one joint answers both decisions
+        assert len(joint_builds) == trials
 
     def test_wrong_authority_entry_is_caught(self, monkeypatch):
         honest = core.authority_table
