@@ -28,7 +28,10 @@ searching the chunk would.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BUCKETS_PER_POINT = 32
 MAX_TABLE_BITS = 16
@@ -38,6 +41,7 @@ def count_cells_numpy(
     u: np.ndarray, cum: np.ndarray, omega: np.ndarray, counts: np.ndarray
 ) -> None:
     """Vectorized tally. Adds into counts in place."""
+    import numpy as np  # not at module scope: see montecarlo.simulate
     u0 = u[0]
     bits = min(
         (BUCKETS_PER_POINT * len(cum) - 1).bit_length(),

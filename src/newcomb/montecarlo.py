@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import core
 from .core import Decision, NewcombScenario
 from .errors import InvalidModelError, InvalidScenarioError, ZeroSamplesError
@@ -143,6 +141,9 @@ def simulate(
         raise InvalidScenarioError(
             "rewards: too large to simulate (the estimates are floats)"
         ) from None
+    # numpy loads at the first sample drawn: analyze, sweep and
+    # impossibility start without it
+    import numpy as np
 
     support = scenario.prediction.support
     cum_exact = []
@@ -157,13 +158,17 @@ def simulate(
     omega = np.array([float(o) for o, _ in support], dtype=np.float64)
     counts = np.zeros((len(support), 2, 2), dtype=np.int64)
 
+    # one buffer for every chunk: a fresh (3, m) draw per chunk lets
+    # glibc's malloc serve later chunks from a fragmenting heap
+    buffer = np.empty(3 * min(chunk_size, samples), dtype=np.float64)
     done = 0
     chunk_index = 0
     while done < samples:
         m = min(chunk_size, samples - done)
         key = np.array([seed, chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        u = rng.random((3, m))
+        u = buffer[: 3 * m].reshape(3, m)  # C-contiguous, as out= requires
+        rng.random(out=u)
         count_cells_numpy(u, cum, omega, counts)
         done += m
         chunk_index += 1

@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -634,6 +638,43 @@ class TestBrokenPipe:
 
         monkeypatch.setattr(cli.verify, "run_all", raiser)
         assert main(["verify"]) == EXIT_PIPE
+
+
+# Run in a fresh interpreter: this process has loaded numpy already.
+# perfbench's tracing reads newcomb.montecarlo and newcomb.kernels from
+# sys.modules after importing newcomb.cli, so both must still load there.
+STARTUP_SCRIPT = """\
+import contextlib, io, sys
+import newcomb
+from newcomb import *
+from newcomb import cli
+
+fine, emit = sys.argv[1:]
+runs = [
+    (["analyze", "--scenario", fine, "--delta", "3/10", "--emit", emit], 0),
+    (["sweep", "--p", "1/2", "--spread", "0,1/4", "--ratio", "1/1000,1"], 0),
+    (["impossibility", "--beliefs", "1/2,3/10,1/5"], 0),
+    (["simulate", "--scenario", fine, "--samples", "0", "--seed", "1"], 2),
+]
+for argv, code in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code, argv
+assert "numpy" not in sys.modules, "an exact command loaded numpy"
+assert "newcomb.montecarlo" in sys.modules and "newcomb.kernels" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--scenario", fine, "--samples", "10", "--seed", "1"]) == 0
+assert "numpy" in sys.modules, "simulate drew samples without numpy"
+"""
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    (tmp_path / "fine.json").write_text(json.dumps(FINE))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", STARTUP_SCRIPT, "fine.json", "out.json"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out.json").is_file()
 
 
 # Full stdout of representative commands, generated before the exact path
