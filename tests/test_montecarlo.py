@@ -1,10 +1,8 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-import oracle
 from newcomb import (
     NewcombScenario,
     PredictionModel,
@@ -102,6 +100,16 @@ class TestDeterminism:
                     ((0, 0), (0, 7410)),
                 ),
             ),
+            # two full chunks and a 3-sample tail through one draw buffer
+            (
+                ((F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(5, 6), F(5, 12))),
+                2_003, 17, 1000,
+                (
+                    ((503, 0), (0, 0)),
+                    ((274, 139), (158, 73)),
+                    ((19, 122), (121, 594)),
+                ),
+            ),
         ],
     )
     def test_golden_tally(self, support, samples, seed, chunk_size, expected):
@@ -112,25 +120,6 @@ class TestDeterminism:
         kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
         report = simulate(scenario, samples=samples, seed=seed, **kwargs)
         assert report.support_counts == expected
-
-    def test_reused_buffer_tallies_like_a_fresh_draw_per_chunk(self):
-        # two full chunks and a short tail filled into one buffer count
-        # the same as a fresh random((3, m)) per chunk through the loop
-        support = ((F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(5, 6), F(5, 12)))
-        seed, chunk = 17, 1000
-        samples = 2 * chunk + 3
-        scenario = NewcombScenario(PredictionModel(support), F(1000), F(1000000))
-        report = simulate(scenario, samples=samples, seed=seed, chunk_size=chunk)
-
-        cum = np.array([0.25, float(F(7, 12)), 1.0])
-        omega = np.array([float(o) for o, _ in support])
-        expected = np.zeros((3, 2, 2), dtype=np.int64)
-        for i, m in enumerate((chunk, chunk, 3)):
-            rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-            oracle.count_cells_loop(rng.random((3, m)), cum, omega, expected)
-        assert report.support_counts == tuple(
-            tuple(tuple(int(x) for x in row) for row in cell) for cell in expected
-        )
 
 
 class TestReport:
