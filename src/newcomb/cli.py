@@ -402,14 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits on --help (0) and usage errors (1 via _Parser)
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits on --help (0) and usage errors (1 via _Parser)
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except NewcombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

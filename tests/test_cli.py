@@ -639,6 +639,35 @@ class TestBrokenPipe:
         monkeypatch.setattr(cli.verify, "run_all", raiser)
         assert main(["verify"]) == EXIT_PIPE
 
+    # the sweep's write fails inside main; the others write only when
+    # stdout is flushed at the end
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--spread", "1/997",
+             "--p", ",".join(f"{k}/997" for k in range(200, 210)),
+             "--ratio", ",".join(f"{m}/9973" for m in range(1, 501))],
+            ["impossibility", "--beliefs", "1/2,3/10,1/5"],
+            ["analyze", "--scenario", "s1.json"],
+            ["--help"],
+        ],
+        ids=["sweep-5000-rows", "impossibility", "analyze", "help"],
+    )
+    def test_closed_pipe_exits_141_silently(self, argv, s1_path):
+        read, write = os.pipe()
+        os.close(read)
+        argv = [sys.executable, "-m", "newcomb", *argv]
+        with open(write, "wb") as stdout:
+            done = subprocess.run(argv, cwd=Path(s1_path).parent, env=_child_env(),
+                                  stdout=stdout, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (EXIT_PIPE, b"")
+
+
+def _child_env():
+    # buffered as in a user's shell, so output can wait for the exit-time flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
 
 # Run in a fresh interpreter: this process has loaded numpy already.
 # perfbench's tracing reads newcomb.montecarlo and newcomb.kernels from
@@ -669,10 +698,10 @@ assert "numpy" in sys.modules, "simulate drew samples without numpy"
 
 def test_exact_commands_start_without_numpy(tmp_path):
     (tmp_path / "fine.json").write_text(json.dumps(FINE))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     argv = [sys.executable, "-c", STARTUP_SCRIPT, "fine.json", "out.json"]
-    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out.json").is_file()
 
