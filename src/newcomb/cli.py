@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -25,6 +26,7 @@ from .core import (
     Decision,
     NewcombScenario,
     PredictionModel,
+    PreferenceLabel,
     posterior_box_full,
     preferred_decision,
     scenario_summary,
@@ -63,6 +65,11 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for bad input data
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    # since Python 3.11 argparse drops an OSError from writing help; write
+    # it here so a closed pipe reaches main's BrokenPipeError handler
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
 
 def _positive_int(text: str) -> int:
@@ -181,6 +188,7 @@ def _sweep_rows(ps, spreads, ratios):
             raise InvalidScenarioError(
                 f"ratio = {format_rational(ratio)}: must be positive"
             )
+    ratio_cells = [format_rational(ratio) for ratio in ratios]
     for p in ps:
         for a in spreads:
             if a > min(p, 1 - p):
@@ -199,19 +207,29 @@ def _sweep_rows(ps, spreads, ratios):
                 format_rational(sigma2),
                 format_rational(sigma2 / (p * (1 - p))),
             )
-            for ratio in ratios:
-                scenario = NewcombScenario(
-                    prediction=model,
-                    small_reward=ratio,
-                    large_reward=Fraction(1),
-                )
-                pref = preferred_decision(scenario)
+            # the posteriors do not depend on the rewards; with R = 1,
+            # E[one-box] = P(full | one-box) and E[two-box] is
+            # P(full | two-box) + r
+            scenario = NewcombScenario(
+                prediction=model, small_reward=Fraction(1), large_reward=Fraction(1)
+            )
+            one = posterior_box_full(scenario, Decision.ONE_BOX)
+            full_two = posterior_box_full(scenario, Decision.TWO_BOX)
+            one_cell = format_rational(one)
+            for ratio, ratio_cell in zip(ratios, ratio_cells):
+                two = full_two + ratio
+                if one > two:
+                    label = PreferenceLabel.ONE_BOX
+                elif two > one:
+                    label = PreferenceLabel.TWO_BOX
+                else:
+                    label = PreferenceLabel.INDIFFERENT
                 yield (
                     *prefix,
-                    format_rational(ratio),
-                    pref.label.value,
-                    format_rational(pref.expected_onebox),
-                    format_rational(pref.expected_twobox),
+                    ratio_cell,
+                    label.value,
+                    one_cell,
+                    format_rational(two),
                 )
 
 
@@ -319,6 +337,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verify.all_ok(results) else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="newcomb",
@@ -417,11 +436,15 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's exit-time flush
-        # does not raise a second time
-        try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (OSError, ValueError):
-            pass
+        # does not raise a second time; an in-process stdout without a
+        # file number (a StringIO) opens nothing
+        with contextlib.suppress(OSError, ValueError):
+            target = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, target)
+            finally:
+                os.close(devnull)
         return EXIT_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -256,6 +256,22 @@ class TestSweep:
             assert F(row["e_twobox"]) == pref.expected_twobox
             assert F(row["sigma2"]) == model.variance
 
+    def test_posteriors_once_per_model(self, monkeypatch, capsys):
+        calls = []
+        original = core.posterior_box_full
+
+        def counting(scenario, decision):
+            calls.append(decision)
+            return original(scenario, decision)
+
+        monkeypatch.setattr(cli, "posterior_box_full", counting)
+        monkeypatch.setattr(core, "posterior_box_full", counting)
+        ratios = ",".join(f"{m}/50" for m in range(1, 51))
+        argv = ["sweep", "--p", "1/3,1/2", "--spread", "0,1/4", "--ratio", ratios]
+        assert main(argv) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 200
+        assert len(calls) == 8
+
 
 class TestImpossibility:
     def test_worked_example(self, capsys):
@@ -632,33 +648,44 @@ class TestFuzz:
 
 
 class TestBrokenPipe:
-    def test_closed_stdout_exits_with_sigpipe_status(self, capsys, monkeypatch):
+    # an in-process stdout has no file number: the handler must not open
+    # a descriptor it cannot use
+    def test_closed_stdout_exits_with_sigpipe_status(self, monkeypatch):
         def raiser(**kwargs):
             raise BrokenPipeError
 
         monkeypatch.setattr(cli.verify, "run_all", raiser)
-        assert main(["verify"]) == EXIT_PIPE
+        before = len(os.listdir("/proc/self/fd"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["verify"]) for _ in range(20)]
+        assert codes == [EXIT_PIPE] * 20
+        assert len(os.listdir("/proc/self/fd")) == before
 
-    # the sweep's write fails inside main; the others write only when
-    # stdout is flushed at the end
+    # the sweep's write fails inside main; buffered, the others write only
+    # when stdout is flushed at the end. Unbuffered, --help's write fails
+    # where it is made, and argparse itself would swallow that error
     @pytest.mark.parametrize(
-        "argv",
+        "argv, unbuffered",
         [
-            ["sweep", "--spread", "1/997",
-             "--p", ",".join(f"{k}/997" for k in range(200, 210)),
-             "--ratio", ",".join(f"{m}/9973" for m in range(1, 501))],
-            ["impossibility", "--beliefs", "1/2,3/10,1/5"],
-            ["analyze", "--scenario", "s1.json"],
-            ["--help"],
+            (["sweep", "--spread", "1/997",
+              "--p", ",".join(f"{k}/997" for k in range(200, 210)),
+              "--ratio", ",".join(f"{m}/9973" for m in range(1, 501))], False),
+            (["impossibility", "--beliefs", "1/2,3/10,1/5"], False),
+            (["analyze", "--scenario", "s1.json"], False),
+            (["--help"], False),
+            (["--help"], True),
         ],
-        ids=["sweep-5000-rows", "impossibility", "analyze", "help"],
+        ids=["sweep-5000-rows", "impossibility", "analyze", "help", "help-unbuffered"],
     )
-    def test_closed_pipe_exits_141_silently(self, argv, s1_path):
+    def test_closed_pipe_exits_141_silently(self, argv, unbuffered, s1_path):
         read, write = os.pipe()
         os.close(read)
         argv = [sys.executable, "-m", "newcomb", *argv]
+        env = _child_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open(write, "wb") as stdout:
-            done = subprocess.run(argv, cwd=Path(s1_path).parent, env=_child_env(),
+            done = subprocess.run(argv, cwd=Path(s1_path).parent, env=env,
                                   stdout=stdout, stderr=subprocess.PIPE)
         assert (done.returncode, done.stderr) == (EXIT_PIPE, b"")
 
