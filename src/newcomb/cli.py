@@ -4,7 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input
 data, 3 verification failure (a failed self-check battery, or simulated
 estimates drifting past the flag threshold). A reader closing our
 stdout early (sweep piped into head) exits 141, the usual SIGPIPE
-status, rather than pretending the input was bad.
+status, rather than pretending the input was bad; Ctrl-C exits 130
+(128 + SIGINT) without a traceback.
+
+Each command builds its whole text before `main` writes it, so a run
+exiting 1, 2 or 130 writes nothing to stdout. The one exception is
+verify's check lines, which print live as each check finishes.
 
 Exact values print as canonical rationals with a rounded decimal in
 parentheses; files and CSV cells carry only the exact form.
@@ -16,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -46,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
+EXIT_INTERRUPT = 128 + 2
 EXIT_PIPE = 128 + 13
 
 SWEEP_COLUMNS = (
@@ -104,72 +111,67 @@ def _parse_rational_list(text: str, what: str) -> list[Fraction]:
     ]
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, str]:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
     summary = scenario_summary(scenario)
-    # a bad --delta exits before anything is printed
+    # a bad --delta fails before any value is formatted
     if args.delta is not None:
         delta = parse_rational(args.delta, what="--delta")
         report = check_delta_omniscience(scenario.prediction, delta)
     small, large = scenario.small_reward, scenario.large_reward
-    print(f"support points: {len(scenario.prediction.support)}")
-    print(
-        f"rewards: r = {format_rational(small)}, R = {format_rational(large)}"
-        f" (ratio r/R = {_fmt(small / large)})"
-    )
-    print(f"p (marginal accuracy): {_fmt(summary.p)}")
-    print(f"sigma^2 (prior variance): {_fmt(summary.sigma2)}")
-    print(f"prior P(box full): {_fmt(summary.prior_box_full)}")
-    print(f"threshold sigma^2/(p(1-p)): {_fmt(summary.threshold)}")
-    print(
-        "posterior P(full | one-box): "
-        f"{_fmt(posterior_box_full(scenario, Decision.ONE_BOX))}"
-    )
-    print(
-        "posterior P(full | two-box): "
-        f"{_fmt(posterior_box_full(scenario, Decision.TWO_BOX))}"
-    )
     pref = preferred_decision(scenario)
-    print(f"E[reward | one-box]: {_fmt(pref.expected_onebox)}")
-    print(f"E[reward | two-box]: {_fmt(pref.expected_twobox)}")
-    print(f"preference: {pref.label.value}")
-    for omega, value in summary.authority:
-        print(
-            f"authority: P(one-box | omega = {format_rational(omega)}) = "
-            f"{_fmt(value)}"
-        )
+    lines = [
+        f"support points: {len(scenario.prediction.support)}",
+        f"rewards: r = {format_rational(small)}, R = {format_rational(large)}"
+        f" (ratio r/R = {_fmt(small / large)})",
+        f"p (marginal accuracy): {_fmt(summary.p)}",
+        f"sigma^2 (prior variance): {_fmt(summary.sigma2)}",
+        f"prior P(box full): {_fmt(summary.prior_box_full)}",
+        f"threshold sigma^2/(p(1-p)): {_fmt(summary.threshold)}",
+        "posterior P(full | one-box): "
+        f"{_fmt(posterior_box_full(scenario, Decision.ONE_BOX))}",
+        "posterior P(full | two-box): "
+        f"{_fmt(posterior_box_full(scenario, Decision.TWO_BOX))}",
+        f"E[reward | one-box]: {_fmt(pref.expected_onebox)}",
+        f"E[reward | two-box]: {_fmt(pref.expected_twobox)}",
+        f"preference: {pref.label.value}",
+        *(
+            f"authority: P(one-box | omega = {format_rational(omega)}) = {_fmt(value)}"
+            for omega, value in summary.authority
+        ),
+    ]
 
     if loaded.refinement is not None:
         rm = loaded.refinement
         coarse = coarsen(rm)
         parts = variance_decomposition(rm)
-        print(f"partition: {len(rm.blocks)} block(s)")
-        print(f"coarse support points: {len(coarse.support)}")
-        for omega, q in coarse.support:
-            print(
+        lines += [
+            f"partition: {len(rm.blocks)} block(s)",
+            f"coarse support points: {len(coarse.support)}",
+            *(
                 f"  coarse omega {format_rational(omega)} "
                 f"with weight {format_rational(q)}"
-            )
-        print(
+                for omega, q in coarse.support
+            ),
             f"variance split: fine {_fmt(parts.fine_variance)} = "
             f"coarse {_fmt(parts.coarse_variance)} + "
-            f"within-block {_fmt(parts.expected_conditional_variance)}"
-        )
+            f"within-block {_fmt(parts.expected_conditional_variance)}",
+        ]
 
     if args.delta is not None:
         verdict = "yes" if report.is_omniscient else "no"
-        print(f"delta-omniscient at delta = {format_rational(delta)}: {verdict}")
-        print(
+        lines += [
+            f"delta-omniscient at delta = {format_rational(delta)}: {verdict}",
             f"variance lower bound when omniscient: "
             f"{_fmt(report.variance_lower_bound)}; "
-            f"actual variance: {_fmt(report.actual_variance)}"
-        )
+            f"actual variance: {_fmt(report.actual_variance)}",
+        ]
 
     if args.emit is not None:
         save_scenario(args.emit, scenario, loaded.refinement)
-        print(f"wrote canonical scenario to {args.emit}")
-    return EXIT_OK
+        lines.append(f"wrote canonical scenario to {args.emit}")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def _sweep_rows(ps, spreads, ratios):
@@ -218,65 +220,54 @@ def _sweep_rows(ps, spreads, ratios):
             one_cell = format_rational(one)
             for ratio, ratio_cell in zip(ratios, ratio_cells):
                 two = full_two + ratio
-                if one > two:
-                    label = PreferenceLabel.ONE_BOX
-                elif two > one:
-                    label = PreferenceLabel.TWO_BOX
-                else:
-                    label = PreferenceLabel.INDIFFERENT
                 yield (
                     *prefix,
                     ratio_cell,
-                    label.value,
+                    PreferenceLabel.compare(one, two).value,
                     one_cell,
                     format_rational(two),
                 )
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, str]:
     ps = _parse_rational_list(args.p, "--p")
     spreads = _parse_rational_list(args.spread, "--spread")
     ratios = _parse_rational_list(args.ratio, "--ratio")
-    rows = list(_sweep_rows(ps, spreads, ratios))
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows(_sweep_rows(ps, spreads, ratios))
     if args.output is None:
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        target = open(args.output, "w", newline="", encoding="utf-8")
-    with target as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
-    if args.output is not None:
-        print(f"wrote {len(rows)} row(s) to {args.output}")
-    return EXIT_OK
+        return EXIT_OK, table.getvalue()
+    with open(args.output, "w", newline="", encoding="utf-8") as fh:
+        fh.write(table.getvalue())
+    count = len(ps) * len(spreads) * len(ratios)
+    return EXIT_OK, f"wrote {count} row(s) to {args.output}\n"
 
 
-def _cmd_impossibility(args) -> int:
+def _cmd_impossibility(args) -> tuple[int, str]:
     beliefs = _parse_rational_list(args.beliefs, "--beliefs")
     game = build_adversarial_game(beliefs)
     n = game.n
-    print(f"boxes: {n}")
-    print("beliefs: " + ", ".join(format_rational(pi) for pi in game.beliefs))
     target = game.target_index
-    print(
+    lines = [
+        f"boxes: {n}",
+        "beliefs: " + ", ".join(format_rational(pi) for pi in game.beliefs),
         f"adversarial target: box {target + 1} "
-        f"(belief {format_rational(game.beliefs[target])} <= 1/{n})"
-    )
-    print("rewards: " + ", ".join(format_rational(x) for x in game.rewards))
+        f"(belief {format_rational(game.beliefs[target])} <= 1/{n})",
+        "rewards: " + ", ".join(format_rational(x) for x in game.rewards),
+    ]
     best = optimal_choice(game)
-    print(
+    lines += [
         f"counterfactually optimal choice: box {best + 1} "
-        f"(payout {format_rational(choice_payout(game, best))})"
-    )
-    bad = bad_decision_probability(game)
-    print(
-        f"P(subject picks a worthless box): {_fmt(bad)}; "
-        f"lower bound 1 - 1/{n} = {_fmt(1 - Fraction(1, n))}"
-    )
-    return EXIT_OK
+        f"(payout {format_rational(choice_payout(game, best))})",
+        f"P(subject picks a worthless box): {_fmt(bad_decision_probability(game))}; "
+        f"lower bound 1 - 1/{n} = {_fmt(1 - Fraction(1, n))}",
+    ]
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, str]:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
     report = montecarlo.simulate(
@@ -285,56 +276,50 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         chunk_size=args.chunk_size,
     )
-    print(
-        f"samples: {report.samples}  seed: {report.seed}  "
-        f"chunk size: {report.chunk_size}"
-    )
-    print(f"rng: {report.rng_algorithm}")
     cells = report.cell_counts
-    print(
+    lines = [
+        f"samples: {report.samples}  seed: {report.seed}  "
+        f"chunk size: {report.chunk_size}",
+        f"rng: {report.rng_algorithm}",
         "counts: "
         f"two-box/empty {cells[0][0]}, two-box/full {cells[0][1]}, "
-        f"one-box/empty {cells[1][0]}, one-box/full {cells[1][1]}"
-    )
+        f"one-box/empty {cells[1][0]}, one-box/full {cells[1][1]}",
+    ]
     if not scenario.prediction.is_imperfect:
-        print("exact comparison unavailable: prior mean is 0 or 1")
-        return EXIT_OK
+        lines.append("exact comparison unavailable: prior mean is 0 or 1")
+        return EXIT_OK, "\n".join(lines) + "\n"
     rows = montecarlo.compare_to_exact(
         report, scenario, flag_threshold=args.flag_threshold
     )
-    header = (
+    lines.append(
         f"{'quantity':<24} {'exact':>18} {'estimate':>14} "
         f"{'stderr':>12} {'dev(SE)':>9} flag"
     )
-    print(header)
     for row in rows:
+        head = f"{row.quantity:<24} {format_rational(row.exact):>18} "
         if row.estimate is None:
-            print(
-                f"{row.quantity:<24} {format_rational(row.exact):>18} "
-                f"{'unavailable':>14} {'-':>12} {'-':>9}"
+            lines.append(f"{head}{'unavailable':>14} {'-':>12} {'-':>9}")
+        else:
+            mark = " <--" if row.flagged else ""
+            lines.append(
+                f"{head}{row.estimate:>14.8g} {row.stderr:>12.4g} "
+                f"{row.deviation_ses:>9.3g}{mark}"
             )
-            continue
-        mark = " <--" if row.flagged else ""
-        print(
-            f"{row.quantity:<24} {format_rational(row.exact):>18} "
-            f"{row.estimate:>14.8g} {row.stderr:>12.4g} "
-            f"{row.deviation_ses:>9.3g}{mark}"
-        )
     flagged = [row.quantity for row in rows if row.flagged]
     if flagged:
-        print(
+        lines.append(
             f"FLAGGED: {', '.join(flagged)} deviate by more than "
             f"{args.flag_threshold} standard error(s)"
         )
-        return EXIT_VERIFY
-    return EXIT_OK
+    return (EXIT_VERIFY if flagged else EXIT_OK), "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
+    # the check lines go out live as each check finishes
     results = verify.run_all(seed=args.seed, models=args.models, echo=print)
     passed = sum(1 for r in results if r.ok)
-    print(f"{passed}/{len(results)} checks passed")
-    return EXIT_OK if verify.all_ok(results) else EXIT_VERIFY
+    code = EXIT_OK if verify.all_ok(results) else EXIT_VERIFY
+    return code, f"{passed}/{len(results)} checks passed\n"
 
 
 @functools.cache
@@ -428,12 +413,12 @@ def main(argv=None) -> int:
             # argparse exits on --help (0) and usage errors (1 via _Parser)
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         else:
-            code = args.func(args)
+            # a command returns its text only once it has succeeded, so a
+            # failed one writes nothing here
+            code, text = args.func(args)
+            sys.stdout.write(text)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
-    except NewcombError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's exit-time flush
         # does not raise a second time; an in-process stdout without a
@@ -446,9 +431,11 @@ def main(argv=None) -> int:
             finally:
                 os.close(devnull)
         return EXIT_PIPE
-    except OSError as exc:
+    except (NewcombError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPT
 
 
 def entrypoint() -> None:

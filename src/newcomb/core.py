@@ -42,6 +42,15 @@ class PreferenceLabel(Enum):
     TWO_BOX = "twobox"
     INDIFFERENT = "indifferent"
 
+    @classmethod
+    def compare(cls, onebox: Fraction, twobox: Fraction) -> PreferenceLabel:
+        """The label for the expected rewards of one- and two-boxing."""
+        if onebox > twobox:
+            return cls.ONE_BOX
+        if twobox > onebox:
+            return cls.TWO_BOX
+        return cls.INDIFFERENT
+
 
 class JointAtom(NamedTuple):
     """One cell of the joint distribution.
@@ -327,12 +336,7 @@ def preferred_decision(scenario: NewcombScenario) -> Preference:
     """
     one = expected_reward(scenario, Decision.ONE_BOX)
     two = expected_reward(scenario, Decision.TWO_BOX)
-    if one > two:
-        label = PreferenceLabel.ONE_BOX
-    elif two > one:
-        label = PreferenceLabel.TWO_BOX
-    else:
-        label = PreferenceLabel.INDIFFERENT
+    label = PreferenceLabel.compare(one, two)
     return Preference(label=label, expected_onebox=one, expected_twobox=two)
 
 

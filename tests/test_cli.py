@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from newcomb import cli, core, load_scenario, montecarlo
-from newcomb.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VERIFY, main
+from newcomb.cli import (
+    EXIT_DATA,
+    EXIT_INTERRUPT,
+    EXIT_OK,
+    EXIT_PIPE,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    main,
+)
 
 F = Fraction
 
@@ -391,6 +400,30 @@ class TestSimulate:
         assert captured.out == ""
         assert "chunk_size" in captured.err
 
+    def test_branch_without_samples_prints_unavailable(self, tmp_path, capsys):
+        # ten samples at omega = 10^-6 never one-box, so the one-box rows
+        # have no estimate. The exit code is not pinned: it is 3 only
+        # because the other rows' plug-in standard error is 0 and their
+        # deviation reads inf, a false flag of its own
+        path = tmp_path / "point.json"
+        point = {
+            "prediction": [{"omega": "1/1000000", "weight": "1"}],
+            "rewards": {"r": "1", "R": "2"},
+        }
+        path.write_text(json.dumps(point))
+        main(["simulate", "--scenario", str(path), "--samples", "10", "--seed", "1"])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert (
+            "posterior_full_onebox             1/1000000    unavailable"
+            "            -         -"
+        ) in lines
+        assert (
+            "expected_reward_onebox             1/500000    unavailable"
+            "            -         -"
+        ) in lines
+        assert "Traceback" not in captured.err
+
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
@@ -470,6 +503,7 @@ class TestHostileInputs:
             (["analyze"], LONG_RATIO, EXIT_DATA),
             (["analyze"], LONG_WEIGHTS, EXIT_DATA),
             (["analyze"], TRAILING_NEWLINES, EXIT_DATA),
+            (["analyze", "--emit", "missing/s1.json"], json.dumps(S1), EXIT_DATA),
         ],
         ids=[
             "analyze-huge-R",
@@ -481,11 +515,13 @@ class TestHostileInputs:
             "analyze-long-output",
             "long-weight-sum",
             "trailing-newlines",
+            "emit-missing-directory",
         ],
     )
     def test_exit_code_without_traceback(
-        self, args, content, expected, tmp_path, capsys
+        self, args, content, expected, tmp_path, capsys, monkeypatch
     ):
+        monkeypatch.chdir(tmp_path)
         argv = list(args)
         if content is not None:
             path = tmp_path / "hostile.json"
@@ -500,6 +536,7 @@ class TestHostileInputs:
             assert "(ratio r/R = 1/1" + "0" * 397 + " (1e-397))" in captured.out
         else:
             assert captured.err.startswith("error: ")
+            assert captured.out == ""
 
 
 def _texts(low, high):
@@ -645,6 +682,8 @@ class TestFuzz:
         event(f"{argv[0]} exit {code}")
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFY)
         assert "Traceback" not in err.getvalue()
+        if code in (EXIT_USAGE, EXIT_DATA):
+            assert out.getvalue() == ""
 
 
 class TestBrokenPipe:
@@ -688,6 +727,24 @@ class TestBrokenPipe:
             done = subprocess.run(argv, cwd=Path(s1_path).parent, env=env,
                                   stdout=stdout, stderr=subprocess.PIPE)
         assert (done.returncode, done.stderr) == (EXIT_PIPE, b"")
+
+
+def test_ctrl_c_exits_130_without_traceback():
+    # -u: the child's stdout is a pipe, so its first check line would
+    # otherwise wait in the buffer; that line shows the battery is running
+    argv = [sys.executable, "-u", "-m", "newcomb", "verify", "--models", "100000"]
+    with subprocess.Popen(
+        argv, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as child:
+        try:
+            first = child.stdout.readline()
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+    assert first.startswith(b"ok   worked-examples: ")
+    assert child.returncode == EXIT_INTERRUPT
+    assert b"Traceback" not in err
 
 
 def _child_env():
