@@ -40,7 +40,6 @@ from .impossibility import (
 )
 from .montecarlo import (
     ComparisonRow,
-    Estimate,
     SimulationReport,
     compare_to_exact,
     empirical_authority,
@@ -70,7 +69,6 @@ __all__ = [
     "CheckResult",
     "ComparisonRow",
     "Decision",
-    "Estimate",
     "FiniteDist",
     "JointAtom",
     "LoadedScenario",

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input
 data, 3 verification failure (a failed self-check battery, or simulated
 estimates drifting past the flag threshold). A reader closing our
 stdout early (sweep piped into head) exits 141, the usual SIGPIPE
-status, rather than pretending the input was bad; Ctrl-C exits 130
-(128 + SIGINT) without a traceback.
+status, rather than pretending the input was bad; a stdout that cannot
+be written (a full disk) exits 2. Ctrl-C exits 130 (128 + SIGINT)
+without a traceback.
 
 Each command builds its whole text before `main` writes it, so a run
 exiting 1, 2 or 130 writes nothing to stdout. The one exception is
@@ -405,6 +406,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_stdout() -> None:
+    """Leave stdout so that the interpreter's exit-time flush cannot fail.
+
+    A stdout still holding text it cannot write (a closed pipe, a full
+    disk) is pointed at devnull, so that flush does not raise a second
+    time. One that flushes, such as an in-process StringIO, is left
+    alone and no descriptor is opened.
+    """
+    try:
+        sys.stdout.flush()
+    except (OSError, ValueError):
+        with contextlib.suppress(OSError, ValueError):
+            target = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, target)
+            finally:
+                os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         try:
@@ -420,19 +441,11 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
     except BrokenPipeError:
-        # point stdout at devnull so the interpreter's exit-time flush
-        # does not raise a second time; an in-process stdout without a
-        # file number (a StringIO) opens nothing
-        with contextlib.suppress(OSError, ValueError):
-            target = sys.stdout.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            try:
-                os.dup2(devnull, target)
-            finally:
-                os.close(devnull)
+        _release_stdout()
         return EXIT_PIPE
     except (NewcombError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _release_stdout()
         return EXIT_DATA
     except KeyboardInterrupt:
         return EXIT_INTERRUPT

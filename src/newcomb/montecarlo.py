@@ -8,12 +8,11 @@ bit-reproducible for a given (samples, seed, chunk_size) triple and do
 not depend on the order chunks are processed in. One vectorized numpy
 kernel, kernels.count_cells_numpy, tallies each chunk.
 
-Every reported figure derives from the integer count tensor alone. The
-per-sample payouts within a decision branch take only two values (the
-small reward plus possibly the large one), so means and standard errors
-are exact functions of the counts; nothing needs a second pass over the
-samples. Standard errors use the plug-in variance phat*(1-phat)/n
-(ddof 0).
+simulate ends at the tally; compare_to_exact alone turns counts into
+estimates. Within a decision branch the payout takes only two values
+(r, plus R when the box is full), so each estimate is scale * phat +
+shift for a proportion phat of the counts. Standard errors use the
+plug-in variance phat*(1-phat)/n (ddof 0).
 """
 
 from __future__ import annotations
@@ -34,23 +33,12 @@ RNG_ALGORITHM = "philox4x64-10, key=(seed, chunk index)"
 
 
 @dataclass(frozen=True)
-class Estimate:
-    """A point estimate, its standard error, and the sample count behind it."""
-
-    value: float
-    stderr: float
-    count: int
-
-
-@dataclass(frozen=True)
 class SimulationReport:
-    """Everything a run produced, as plain ints and floats.
+    """The tally a run produced, as plain ints.
 
     support_counts[d][dec][box] counts samples at support point d with
     decision dec (1 = one-box) and box state box (1 = full). Two runs
-    with equal (samples, seed, chunk_size) compare equal. Conditional
-    estimates are None when their conditioning count is zero: an
-    estimate that does not exist is not reported as 0.
+    with equal (samples, seed, chunk_size) compare equal.
     """
 
     samples: int
@@ -58,12 +46,6 @@ class SimulationReport:
     chunk_size: int
     rng_algorithm: str
     support_counts: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    est_p: Estimate
-    est_prior_full: Estimate
-    est_post_full_onebox: Estimate | None
-    est_post_full_twobox: Estimate | None
-    est_reward_onebox: Estimate | None
-    est_reward_twobox: Estimate | None
 
     @property
     def cell_counts(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -93,11 +75,20 @@ class ComparisonRow:
     flagged: bool
 
 
-def _binomial_estimate(successes: int, n: int) -> Estimate:
-    phat = successes / n
-    return Estimate(
-        value=phat, stderr=math.sqrt(phat * (1.0 - phat) / n), count=n
-    )
+def _float_rewards(scenario: NewcombScenario) -> tuple[float, float]:
+    """(R, r) as floats, refused when R + r does not convert.
+
+    Every exact value and every estimate compare_to_exact reports is at
+    most R + r, so none of them overflows once this passes.
+    """
+    large, small = scenario.large_reward, scenario.small_reward
+    try:
+        float(large + small)
+    except OverflowError:
+        raise InvalidScenarioError(
+            "rewards: too large to simulate (the estimates are floats)"
+        ) from None
+    return float(large), float(small)
 
 
 def simulate(
@@ -107,11 +98,11 @@ def simulate(
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> SimulationReport:
-    """Run the game `samples` times and summarize the outcome counts.
+    """Run the game `samples` times and tally the outcomes.
 
     seed must be an integer in [0, 2**64) and chunk_size one in
-    [1, MAX_CHUNK_SIZE]. Both rewards must convert to finite floats,
-    since the reward estimates are floats.
+    [1, MAX_CHUNK_SIZE]. R + r must convert to a float, as the estimates
+    are floats; that is checked before anything is drawn.
     """
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ZeroSamplesError(
@@ -134,13 +125,7 @@ def simulate(
             f"chunk_size must be an integer in [1, {MAX_CHUNK_SIZE}], "
             f"got {chunk_size!r}"
         )
-    try:
-        large = float(scenario.large_reward)
-        small = float(scenario.small_reward)
-    except OverflowError:
-        raise InvalidScenarioError(
-            "rewards: too large to simulate (the estimates are floats)"
-        ) from None
+    _float_rewards(scenario)
     # numpy loads at the first sample drawn: analyze, sweep and
     # impossibility start without it
     import numpy as np
@@ -176,41 +161,12 @@ def simulate(
     support_counts = tuple(
         tuple(tuple(int(x) for x in row) for row in cell) for cell in counts
     )
-    cells = counts.sum(axis=0)
-    n_one = int(cells[1].sum())
-    n_two = int(cells[0].sum())
-    n_full = int(cells[:, 1].sum())
-
-    est_p = _binomial_estimate(n_one, samples)
-    est_prior_full = _binomial_estimate(n_full, samples)
-    post_one = _binomial_estimate(int(cells[1, 1]), n_one) if n_one else None
-    post_two = _binomial_estimate(int(cells[0, 1]), n_two) if n_two else None
-
-    reward_one = (
-        Estimate(large * post_one.value, large * post_one.stderr, n_one)
-        if post_one
-        else None
-    )
-    reward_two = (
-        Estimate(
-            large * post_two.value + small, large * post_two.stderr, n_two
-        )
-        if post_two
-        else None
-    )
-
     return SimulationReport(
         samples=samples,
         seed=seed,
         chunk_size=chunk_size,
         rng_algorithm=RNG_ALGORITHM,
         support_counts=support_counts,
-        est_p=est_p,
-        est_prior_full=est_prior_full,
-        est_post_full_onebox=post_one,
-        est_post_full_twobox=post_two,
-        est_reward_onebox=reward_one,
-        est_reward_twobox=reward_two,
     )
 
 
@@ -233,55 +189,65 @@ def compare_to_exact(
     *,
     flag_threshold: float = 4.0,
 ) -> tuple[ComparisonRow, ...]:
-    """Line up the report's estimates against exact values.
+    """Derive each estimate from report.cell_counts, next to its exact value.
 
-    Requires an imperfect prior, since the exact posteriors do. A zero
-    standard error flags exactly when the estimate differs at all from
-    the exact value (deviation 0 or infinity). Unavailable estimates
-    produce rows with deviation None, never a fabricated zero.
+    A row's estimate is scale * phat + shift (scale 1 or R, shift 0 or r)
+    with standard error scale * sqrt(phat (1 - phat) / trials). Requires
+    an imperfect prior, since the exact posteriors do. A zero standard
+    error flags exactly when the estimate differs at all from the exact
+    value (deviation 0 or infinity). A branch that drew no samples gives
+    a row with estimate and deviation None, never a fabricated zero.
     """
+    large, small = _float_rewards(scenario)
+    (two_empty, two_full), (one_empty, one_full) = report.cell_counts
+    n_one = one_empty + one_full
+    n_two = two_empty + two_full
     p = scenario.prediction.p
-    pairs = (
-        ("p", p, report.est_p),
+    # (quantity, exact, successes, trials, scale, shift)
+    specs = (
+        ("p", p, n_one, report.samples, 1, 0),
         # the box fills with probability omega, so P(full) is the prior mean
-        ("prior_box_full", p, report.est_prior_full),
+        ("prior_box_full", p, one_full + two_full, report.samples, 1, 0),
         (
             "posterior_full_onebox",
             core.posterior_box_full(scenario, Decision.ONE_BOX),
-            report.est_post_full_onebox,
+            one_full, n_one, 1, 0,
         ),
         (
             "posterior_full_twobox",
             core.posterior_box_full(scenario, Decision.TWO_BOX),
-            report.est_post_full_twobox,
+            two_full, n_two, 1, 0,
         ),
         (
             "expected_reward_onebox",
             core.expected_reward(scenario, Decision.ONE_BOX),
-            report.est_reward_onebox,
+            one_full, n_one, large, 0,
         ),
         (
             "expected_reward_twobox",
             core.expected_reward(scenario, Decision.TWO_BOX),
-            report.est_reward_twobox,
+            two_full, n_two, large, small,
         ),
     )
     rows = []
-    for name, exact, est in pairs:
-        if est is None:
+    for name, exact, successes, trials, scale, shift in specs:
+        if not trials:
             rows.append(ComparisonRow(name, exact, None, None, None, False))
             continue
+        phat = successes / trials
+        estimate = scale * phat + shift
+        stderr = scale * math.sqrt(phat * (1.0 - phat) / trials)
         target = float(exact)
-        if est.stderr == 0.0:
-            deviation = 0.0 if est.value == target else math.inf
+        if stderr == 0.0:
+            deviation = 0.0 if estimate == target else math.inf
         else:
-            deviation = abs(est.value - target) / est.stderr
+            deviation = abs(estimate - target) / stderr
         rows.append(
             ComparisonRow(
                 quantity=name,
                 exact=exact,
-                estimate=est.value,
-                stderr=est.stderr,
+                estimate=estimate,
+                stderr=stderr,
                 deviation_ses=deviation,
                 flagged=deviation > flag_threshold,
             )

@@ -286,6 +286,12 @@ def _check_authority(rng: random.Random, trials: int) -> str:
     return f"{points} support points: P(one-box | omega) = omega exactly"
 
 
+def _support_variance(model: PredictionModel) -> Fraction:
+    """sum(q omega^2) - (sum(q omega))^2, straight from the support."""
+    mean = sum(q * omega for omega, q in model.support)
+    return sum(q * omega * omega for omega, q in model.support) - mean * mean
+
+
 def _check_refinement(rng: random.Random, trials: int) -> str:
     for _ in range(trials):
         rm = random_refinement(rng)
@@ -293,10 +299,12 @@ def _check_refinement(rng: random.Random, trials: int) -> str:
         coarse = refinement.coarsen(rm)
         assert coarse.p == fine.p, "coarsening moved the mean"
         parts = refinement.variance_decomposition(rm)
-        assert (
-            parts.fine_variance
-            == parts.coarse_variance + parts.expected_conditional_variance
-        ), parts
+        # each variance recomputed from its support, not read back
+        fine_var = _support_variance(fine)
+        coarse_var = _support_variance(coarse)
+        assert parts.fine_variance == fine_var, parts
+        assert parts.coarse_variance == coarse_var, parts
+        assert fine_var == coarse_var + parts.expected_conditional_variance, parts
         assert parts.coarse_variance <= parts.fine_variance
         assert parts.expected_conditional_variance >= 0
         singletons = RefinementModel(

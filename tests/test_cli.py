@@ -468,6 +468,10 @@ LONG_WEIGHTS = json.dumps(
         ],
     }
 )
+# each reward is a float, but R + r and so E[reward | two-box] are not
+NEAR_MAX = json.dumps(
+    {**S1, "rewards": {"r": str(int(1.7e308)), "R": str(int(1.7e308))}}
+)
 # "$" in a regex also matches before a final newline; the grammar must not
 TRAILING_NEWLINES = json.dumps(
     {
@@ -488,6 +492,7 @@ class TestHostileInputs:
             # rounded from the Fraction, not from an overflowing float
             (["analyze"], HUGE_R, EXIT_OK),
             (["simulate", "--samples", "10", "--seed", "1"], HUGE_R, EXIT_DATA),
+            (["simulate", "--samples", "1000", "--seed", "1"], NEAR_MAX, EXIT_DATA),
             (
                 ["sweep", "--p", "1/2", "--spread", "1/10", "--ratio", f"1/{LONG}"],
                 None,
@@ -508,6 +513,7 @@ class TestHostileInputs:
         ids=[
             "analyze-huge-R",
             "simulate-huge-R",
+            "simulate-near-max-rewards",
             "sweep-long-ratio",
             "long-denominator",
             "long-json-number",
@@ -729,6 +735,27 @@ class TestBrokenPipe:
         assert (done.returncode, done.stderr) == (EXIT_PIPE, b"")
 
 
+# buffered, the text waits for main's final flush, which fails; the
+# interpreter's exit-time flush must not fail again and exit 120
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--scenario", "s1.json"],
+        ["impossibility", "--beliefs", "1/2,3/10,1/5"],
+        ["verify", "--models", "2"],
+    ],
+    ids=["analyze", "impossibility", "verify"],
+)
+def test_unwritable_stdout_exits_2_with_one_error_line(argv, s1_path):
+    argv = [sys.executable, "-m", "newcomb", *argv]
+    with open("/dev/full", "wb") as stdout:
+        done = subprocess.run(argv, cwd=Path(s1_path).parent, env=_child_env(),
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == EXIT_DATA
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+
+
 def test_ctrl_c_exits_130_without_traceback():
     # -u: the child's stdout is a pipe, so its first check line would
     # otherwise wait in the buffer; that line shows the battery is running
@@ -916,6 +943,22 @@ expected_reward_onebox               820000      819798.08         1724     0.11
 expected_reward_twobox               181000      183883.17         1724      1.67
 """
 
+GOLDEN_SIMULATE_S1_FLAGGED = """\
+samples: 10001  seed: 2  chunk size: 262144
+rng: philox4x64-10, key=(seed, chunk index)
+counts: two-box/empty 4113, two-box/full 904, one-box/empty 870, one-box/full 4114
+quantity                              exact       estimate       stderr   dev(SE) flag
+p                                       1/2     0.49835016        0.005      0.33 <--
+prior_box_full                          1/2     0.50174983        0.005      0.35 <--
+posterior_full_onebox                 41/50     0.82544141     0.005377      1.01 <--
+posterior_full_twobox                  9/50     0.18018736     0.005426    0.0345 <--
+expected_reward_onebox               820000      825441.41         5377      1.01 <--
+expected_reward_twobox               181000      181187.36         5426    0.0345 <--
+FLAGGED: p, prior_box_full, posterior_full_onebox, posterior_full_twobox, \
+expected_reward_onebox, expected_reward_twobox deviate by more than 0.0 \
+standard error(s)
+"""
+
 GOLDEN_VERIFY_5 = """\
 ok   worked-examples: all built-in example values reproduced
 ok   distribution-laws: 5 random joints: unit mass, marginals, conditioning chain
@@ -959,6 +1002,11 @@ class TestGoldenOutput:
     def test_stdout(self, argv, expected, capsys):
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == expected
+
+    def test_flagged_simulate(self, capsys):
+        argv = ["simulate", "--scenario", "s1.json", "--samples", "10001"]
+        assert main([*argv, "--seed", "2", "--flag-threshold", "0"]) == EXIT_VERIFY
+        assert capsys.readouterr().out == GOLDEN_SIMULATE_S1_FLAGGED
 
     def test_analyze_with_partition_delta_and_emit(self, tmp_path, capsys):
         argv = ["analyze", "--scenario", "fine.json", "--delta", "3/10"]

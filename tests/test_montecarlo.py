@@ -137,24 +137,34 @@ class TestReport:
 
     def test_estimates_derive_from_counts(self, symmetric_tenths):
         report = simulate(symmetric_tenths, samples=30_000, seed=1)
-        cells = report.cell_counts
-        n_one = cells[1][0] + cells[1][1]
-        assert report.est_p.value == n_one / 30_000
-        phat = report.est_p.value
-        assert report.est_p.stderr == math.sqrt(phat * (1 - phat) / 30_000)
-        post = cells[1][1] / n_one
-        assert report.est_post_full_onebox.value == post
+        rows = compare_to_exact(report, symmetric_tenths)
+        by_name = {row.quantity: row for row in rows}
+        (two_empty, two_full), (one_empty, one_full) = report.cell_counts
+        n_one = one_empty + one_full
+        phat = n_one / 30_000
+        assert by_name["p"].estimate == phat
+        assert by_name["p"].stderr == math.sqrt(phat * (1 - phat) / 30_000)
+        assert by_name["prior_box_full"].estimate == (one_full + two_full) / 30_000
+        post = one_full / n_one
+        assert by_name["posterior_full_onebox"].estimate == post
         large = float(symmetric_tenths.large_reward)
         small = float(symmetric_tenths.small_reward)
-        assert report.est_reward_onebox.value == large * post
-        post2 = cells[0][1] / (cells[0][0] + cells[0][1])
-        assert report.est_reward_twobox.value == large * post2 + small
+        assert by_name["expected_reward_onebox"].estimate == large * post
+        n_two = two_empty + two_full
+        post2 = two_full / n_two
+        twobox = by_name["expected_reward_twobox"]
+        assert twobox.estimate == large * post2 + small
+        assert twobox.stderr == large * math.sqrt(post2 * (1 - post2) / n_two)
 
     def test_empty_branch_reports_none_not_zero(self, symmetric_tenths):
         report = simulate(symmetric_tenths, samples=1, seed=0)
-        assert report.est_post_full_onebox is None
-        assert report.est_reward_onebox is None
-        assert report.est_post_full_twobox is not None
+        rows = compare_to_exact(report, symmetric_tenths)
+        by_name = {row.quantity: row for row in rows}
+        for name in ("posterior_full_onebox", "expected_reward_onebox"):
+            assert by_name[name].estimate is None
+            assert by_name[name].stderr is None
+        for name in ("posterior_full_twobox", "expected_reward_twobox"):
+            assert by_name[name].estimate is not None
 
     def test_certain_predictor_never_two_boxes(self):
         model = PredictionModel(((F(1), F(1)),))
@@ -162,8 +172,6 @@ class TestReport:
         report = simulate(scenario, samples=1000, seed=42)
         assert report.cell_counts[0] == (0, 0)
         assert report.cell_counts[1] == (0, 1000)
-        assert report.est_post_full_twobox is None
-        assert report.est_p.value == 1.0
         with pytest.raises(PerfectKnowledgeError):
             compare_to_exact(report, scenario)
 
@@ -193,8 +201,8 @@ class TestComparison:
             assert not row.flagged, row
 
     def test_flag_threshold_is_respected(self, symmetric_tenths):
-        # 10001 is odd, so est_p cannot hit 1/2 exactly and its
-        # deviation is strictly positive
+        # 10001 is odd, so the estimate of p cannot hit 1/2 exactly and
+        # its deviation is strictly positive
         report = simulate(symmetric_tenths, samples=10_001, seed=2)
         rows = compare_to_exact(report, symmetric_tenths, flag_threshold=0.0)
         by_name = {row.quantity: row for row in rows}
@@ -218,16 +226,14 @@ class TestComparison:
     def test_errors_shrink_like_root_n(self, symmetric_tenths):
         """100x the samples cuts the mean absolute error about 10x."""
         exact = 0.5
-        small, big = [], []
-        for seed in range(10):
-            small.append(
-                abs(simulate(symmetric_tenths, 10_000, seed).est_p.value - exact)
-            )
-            big.append(
-                abs(
-                    simulate(symmetric_tenths, 1_000_000, seed).est_p.value
-                    - exact
-                )
-            )
+
+        def p_error(samples, seed):
+            report = simulate(symmetric_tenths, samples, seed)
+            row = compare_to_exact(report, symmetric_tenths)[0]
+            assert row.quantity == "p"
+            return abs(row.estimate - exact)
+
+        small = [p_error(10_000, seed) for seed in range(10)]
+        big = [p_error(1_000_000, seed) for seed in range(10)]
         ratio = (sum(small) / len(small)) / (sum(big) / len(big))
         assert 3 < ratio < 40, ratio

@@ -1,14 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from newcomb import all_ok, run_all
-from newcomb import core, impossibility
+from newcomb import core, impossibility, refinement
 from newcomb.verify import (
     _check_authority,
     _check_expected_rewards,
     _check_posterior_routes,
+    _check_refinement,
     builtin_scenarios,
     random_beliefs,
     random_prediction_model,
@@ -119,6 +121,24 @@ class TestBattery:
         monkeypatch.setattr(core, "authority_table", off_by_one_entry)
         with pytest.raises(AssertionError):
             _check_authority(random.Random(4), 5)
+
+    def test_shifted_variances_are_caught(self, monkeypatch):
+        # the same offset on the fine and the coarse variance keeps the
+        # decomposition's own sum exact; only recomputing them shows it
+        honest = refinement.variance_decomposition
+
+        def shifted(model):
+            parts = honest(model)
+            eps = F(1, 10**9)
+            return dataclasses.replace(
+                parts,
+                fine_variance=parts.fine_variance + eps,
+                coarse_variance=parts.coarse_variance + eps,
+            )
+
+        monkeypatch.setattr(refinement, "variance_decomposition", shifted)
+        with pytest.raises(AssertionError):
+            _check_refinement(random.Random(1), 200)
 
 
 class TestGenerators:
