@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input
-data, 3 verification failure (a failed self-check battery, or simulated
+data (which includes a sweep grid of more than MAX_SWEEP_ROWS rows), 3
+verification failure (a failed self-check battery, or simulated
 estimates drifting past the flag threshold). A reader closing our
 stdout early (sweep piped into head) exits 141, the usual SIGPIPE
 status, rather than pretending the input was bad; a stdout that cannot
@@ -55,6 +56,10 @@ EXIT_DATA = 2
 EXIT_VERIFY = 3
 EXIT_INTERRUPT = 128 + 2
 EXIT_PIPE = 128 + 13
+
+# a sweep holds its whole CSV text, about 180 bytes of memory a row, so a
+# grid past this many rows is refused rather than left to exhaust memory
+MAX_SWEEP_ROWS = 1_000_000
 
 SWEEP_COLUMNS = (
     "p",
@@ -191,6 +196,11 @@ def _sweep_rows(ps, spreads, ratios):
             raise InvalidScenarioError(
                 f"ratio = {format_rational(ratio)}: must be positive"
             )
+    rows = len(ps) * len(spreads) * len(ratios)
+    if rows > MAX_SWEEP_ROWS:
+        raise InvalidScenarioError(
+            f"grid of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows"
+        )
     ratio_cells = [format_rational(ratio) for ratio in ratios]
     for p in ps:
         for a in spreads:

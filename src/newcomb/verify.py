@@ -6,7 +6,8 @@ enumerated joint, decompositions against their parts, threshold
 comparisons against expectation comparisons, simulated frequencies
 against exact probabilities. Engine calls go through module attributes
 (core.posterior_box_full, not a from-import), so replacing a function
-with a broken one really is caught.
+with a broken one really is caught. Checks fail through _expect, not
+assert, so python -O cannot strip them.
 
 The random generators in this module are also what the test suite uses
 to produce arbitrary valid models.
@@ -29,6 +30,12 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+
+
+def _expect(ok: bool, *detail: object) -> None:
+    """An assert that python -O cannot strip; detail is its message."""
+    if not ok:
+        raise AssertionError(*detail)
 
 
 def random_prediction_model(
@@ -116,32 +123,32 @@ def _check_worked_examples() -> str:
 
     sym = scenarios["symmetric-tenths"]
     summary = core.scenario_summary(sym)
-    assert summary.p == half, summary
-    assert summary.sigma2 == Fraction(4, 25), summary
-    assert summary.prior_box_full == half, summary
-    assert summary.threshold == Fraction(16, 25), summary
-    assert core.posterior_box_full(sym, Decision.ONE_BOX) == Fraction(41, 50)
-    assert core.posterior_box_full(sym, Decision.TWO_BOX) == Fraction(9, 50)
-    assert core.expected_reward(sym, Decision.ONE_BOX) == 820000
-    assert core.expected_reward(sym, Decision.TWO_BOX) == 181000
-    assert core.preferred_decision(sym).label is PreferenceLabel.ONE_BOX
-    assert core.authority_check(sym, Fraction(1, 10)) == Fraction(1, 10)
-    assert core.authority_check(sym, Fraction(9, 10)) == Fraction(9, 10)
+    _expect(summary.p == half, summary)
+    _expect(summary.sigma2 == Fraction(4, 25), summary)
+    _expect(summary.prior_box_full == half, summary)
+    _expect(summary.threshold == Fraction(16, 25), summary)
+    _expect(core.posterior_box_full(sym, Decision.ONE_BOX) == Fraction(41, 50))
+    _expect(core.posterior_box_full(sym, Decision.TWO_BOX) == Fraction(9, 50))
+    _expect(core.expected_reward(sym, Decision.ONE_BOX) == 820000)
+    _expect(core.expected_reward(sym, Decision.TWO_BOX) == 181000)
+    _expect(core.preferred_decision(sym).label is PreferenceLabel.ONE_BOX)
+    _expect(core.authority_check(sym, Fraction(1, 10)) == Fraction(1, 10))
+    _expect(core.authority_check(sym, Fraction(9, 10)) == Fraction(9, 10))
     joint = core.build_joint(sym)
     atom = core.JointAtom(0, Decision.ONE_BOX, True)
-    assert joint.weight(atom) == Fraction(1, 200), joint.weight(atom)
+    _expect(joint.weight(atom) == Fraction(1, 200), joint.weight(atom))
 
     point = scenarios["point-half"]
-    assert core.posterior_box_full(point, Decision.ONE_BOX) == half
-    assert core.posterior_box_full(point, Decision.TWO_BOX) == half
-    assert core.expected_reward(point, Decision.ONE_BOX) == 500000
-    assert core.expected_reward(point, Decision.TWO_BOX) == 501000
-    assert core.preferred_decision(point).label is PreferenceLabel.TWO_BOX
+    _expect(core.posterior_box_full(point, Decision.ONE_BOX) == half)
+    _expect(core.posterior_box_full(point, Decision.TWO_BOX) == half)
+    _expect(core.expected_reward(point, Decision.ONE_BOX) == 500000)
+    _expect(core.expected_reward(point, Decision.TWO_BOX) == 501000)
+    _expect(core.preferred_decision(point).label is PreferenceLabel.TWO_BOX)
 
     tie = scenarios["quarters-tie"]
     pref = core.preferred_decision(tie)
-    assert pref.label is PreferenceLabel.INDIFFERENT
-    assert pref.expected_onebox == Fraction(5, 2) == pref.expected_twobox
+    _expect(pref.label is PreferenceLabel.INDIFFERENT)
+    _expect(pref.expected_onebox == Fraction(5, 2) == pref.expected_twobox)
 
     quarter = Fraction(1, 4)
     fine = PredictionModel(
@@ -154,32 +161,32 @@ def _check_worked_examples() -> str:
     )
     rm = RefinementModel(fine=fine, blocks=((0, 1), (2, 3)))
     coarse = refinement.coarsen(rm)
-    assert coarse.support == ((Fraction(1, 5), half), (Fraction(4, 5), half))
+    _expect(coarse.support == ((Fraction(1, 5), half), (Fraction(4, 5), half)))
     parts = refinement.variance_decomposition(rm)
-    assert parts.fine_variance == Fraction(1, 10), parts
-    assert parts.coarse_variance == Fraction(9, 100), parts
-    assert parts.expected_conditional_variance == Fraction(1, 100), parts
+    _expect(parts.fine_variance == Fraction(1, 10), parts)
+    _expect(parts.coarse_variance == Fraction(9, 100), parts)
+    _expect(parts.expected_conditional_variance == Fraction(1, 100), parts)
 
     skewed = PredictionModel(
         ((Fraction(1, 100), half), (Fraction(99, 100), half))
     )
     report = refinement.check_delta_omniscience(skewed, Fraction(1, 100))
-    assert report.is_omniscient
-    assert report.variance_lower_bound == Fraction(230249, 1000000), report
-    assert report.actual_variance == Fraction(2401, 10000), report
+    _expect(report.is_omniscient)
+    _expect(report.variance_lower_bound == Fraction(230249, 1000000), report)
+    _expect(report.actual_variance == Fraction(2401, 10000), report)
     report = refinement.check_delta_omniscience(skewed, Fraction(1, 200))
-    assert not report.is_omniscient
+    _expect(not report.is_omniscient)
 
     game = impossibility.build_adversarial_game(
         (half, Fraction(3, 10), Fraction(1, 5))
     )
-    assert game.target_index == 1
-    assert impossibility.bad_decision_probability(game) == Fraction(7, 10)
+    _expect(game.target_index == 1)
+    _expect(impossibility.bad_decision_probability(game) == Fraction(7, 10))
     uniform = impossibility.build_adversarial_game(
         tuple(Fraction(1, 4) for _ in range(4))
     )
-    assert uniform.target_index == 0
-    assert impossibility.bad_decision_probability(uniform) == Fraction(3, 4)
+    _expect(uniform.target_index == 0)
+    _expect(impossibility.bad_decision_probability(uniform) == Fraction(3, 4))
     return "all built-in example values reproduced"
 
 
@@ -188,12 +195,12 @@ def _check_distribution_laws(rng: random.Random, trials: int) -> str:
         scenario = random_scenario(rng, require_imperfect=False)
         joint = core.build_joint(scenario)
         total = sum((w for _, w in joint.atoms), Fraction(0))
-        assert total == 1, f"joint mass {total}"
-        assert all(w > 0 for _, w in joint.atoms), "zero atom survived pruning"
+        _expect(total == 1, f"joint mass {total}")
+        _expect(all(w > 0 for _, w in joint.atoms), "zero atom survived pruning")
         p = scenario.prediction.p
         marginal = joint.map(lambda a: a.decision)
-        assert marginal.weight(Decision.ONE_BOX) == p
-        assert joint.prob(lambda a: a.box_full) == p
+        _expect(marginal.weight(Decision.ONE_BOX) == p)
+        _expect(joint.prob(lambda a: a.box_full) == p)
         if 0 < p < 1:
             given_one = joint.condition(
                 lambda a: a.decision is Decision.ONE_BOX
@@ -203,7 +210,7 @@ def _check_distribution_laws(rng: random.Random, trials: int) -> str:
                 direct = joint.condition(
                     lambda a: a.decision is Decision.ONE_BOX and a.box_full
                 )
-                assert chained == direct, "conditioning chain broke"
+                _expect(chained == direct, "conditioning chain broke")
     return f"{trials} random joints: unit mass, marginals, conditioning chain"
 
 
@@ -213,13 +220,13 @@ def _check_posterior_routes(rng: random.Random, trials: int) -> str:
         model = scenario.prediction
         closed = {d: core.posterior_box_full(scenario, d) for d in Decision}
         routed = core.posterior_box_full_via_joint(scenario)
-        assert closed == routed, (closed, routed, model.support)
-        assert all(0 <= value <= 1 for value in closed.values())
+        _expect(closed == routed, (closed, routed, model.support))
+        _expect(all(0 <= value <= 1 for value in closed.values()))
         up, down = closed[Decision.ONE_BOX], closed[Decision.TWO_BOX]
         if model.variance > 0:
-            assert down < model.p < up
+            _expect(down < model.p < up)
         else:
-            assert down == model.p == up
+            _expect(down == model.p == up)
     return f"{trials} models: closed-form posteriors equal joint conditioning"
 
 
@@ -228,7 +235,7 @@ def _check_expected_rewards(rng: random.Random, trials: int) -> str:
         scenario = random_scenario(rng)
         closed = {d: core.expected_reward(scenario, d) for d in Decision}
         routed = core.expected_reward_via_joint(scenario)
-        assert closed == routed, (closed, routed)
+        _expect(closed == routed, (closed, routed))
     return f"{trials} models: closed-form expectations equal joint means"
 
 
@@ -259,14 +266,14 @@ def _check_preference_threshold(rng: random.Random, trials: int) -> str:
                 expect = PreferenceLabel.INDIFFERENT
             else:
                 expect = PreferenceLabel.TWO_BOX
-            assert pref.label is expect, (model.support, ratio, pref)
+            _expect(pref.label is expect, (model.support, ratio, pref))
             scale = Fraction(rng.randint(1, 50), rng.randint(1, 7))
             scaled = NewcombScenario(
                 prediction=model,
                 small_reward=ratio * scale,
                 large_reward=scale,
             )
-            assert core.preferred_decision(scaled).label is pref.label
+            _expect(core.preferred_decision(scaled).label is pref.label)
     return (
         f"{trials} models x {len(ratios)}+ ratios: preference matches the "
         f"variance threshold ({ties} exact ties included)"
@@ -279,9 +286,9 @@ def _check_authority(rng: random.Random, trials: int) -> str:
         scenario = random_scenario(rng, require_imperfect=False)
         table = core.authority_table(scenario)
         omegas = [omega for omega, _ in scenario.prediction.support]
-        assert list(table) == omegas, "authority table keys differ from the support"
+        _expect(list(table) == omegas, "authority table keys differ from the support")
         for omega, value in table.items():
-            assert value == omega, (omega, value)
+            _expect(value == omega, (omega, value))
         points += len(table)
     return f"{points} support points: P(one-box | omega) = omega exactly"
 
@@ -297,24 +304,24 @@ def _check_refinement(rng: random.Random, trials: int) -> str:
         rm = random_refinement(rng)
         fine = rm.fine
         coarse = refinement.coarsen(rm)
-        assert coarse.p == fine.p, "coarsening moved the mean"
+        _expect(coarse.p == fine.p, "coarsening moved the mean")
         parts = refinement.variance_decomposition(rm)
         # each variance recomputed from its support, not read back
         fine_var = _support_variance(fine)
         coarse_var = _support_variance(coarse)
-        assert parts.fine_variance == fine_var, parts
-        assert parts.coarse_variance == coarse_var, parts
-        assert fine_var == coarse_var + parts.expected_conditional_variance, parts
-        assert parts.coarse_variance <= parts.fine_variance
-        assert parts.expected_conditional_variance >= 0
+        _expect(parts.fine_variance == fine_var, parts)
+        _expect(parts.coarse_variance == coarse_var, parts)
+        _expect(fine_var == coarse_var + parts.expected_conditional_variance, parts)
+        _expect(parts.coarse_variance <= parts.fine_variance)
+        _expect(parts.expected_conditional_variance >= 0)
         singletons = RefinementModel(
             fine=fine, blocks=tuple((i,) for i in range(len(fine.support)))
         )
-        assert refinement.coarsen(singletons) == fine
+        _expect(refinement.coarsen(singletons) == fine)
         lumped = RefinementModel(
             fine=fine, blocks=(tuple(range(len(fine.support))),)
         )
-        assert refinement.coarsen(lumped).variance == 0
+        _expect(refinement.coarsen(lumped).variance == 0)
     return f"{trials} refinements: mean kept, variances decompose exactly"
 
 
@@ -326,16 +333,21 @@ def _check_omniscience(rng: random.Random, trials: int) -> str:
         delta = limit * Fraction(rng.randint(0, 15), 16)
         report = refinement.check_delta_omniscience(model, delta)
         p = model.p
-        assert report.variance_lower_bound >= p * (1 - p) - 3 * delta
+        # the bound recomputed, since the inequalities cannot see a loose one
+        bound = (1 - delta) ** 2 * (p - delta) - p * p
+        _expect(report.variance_lower_bound == bound, report)
+        _expect(bound >= p * (1 - p) - 3 * delta)
         if report.is_omniscient:
-            assert report.actual_variance >= report.variance_lower_bound
+            _expect(report.actual_variance >= report.variance_lower_bound)
 
         delta2 = Fraction(rng.randint(1, 499), 1000)
         pair = PredictionModel(((delta2, half), (1 - delta2, half)))
         report2 = refinement.check_delta_omniscience(pair, delta2)
-        assert report2.is_omniscient
-        assert report2.actual_variance == (half - delta2) ** 2
-        assert report2.actual_variance >= report2.variance_lower_bound
+        _expect(report2.is_omniscient)
+        _expect(report2.actual_variance == (half - delta2) ** 2)
+        bound2 = (1 - delta2) ** 2 * (half - delta2) - half * half
+        _expect(report2.variance_lower_bound == bound2, report2)
+        _expect(report2.actual_variance >= report2.variance_lower_bound)
 
     ratio = Fraction(1, 1000)
     for k in range(2, 11):
@@ -345,13 +357,13 @@ def _check_omniscience(rng: random.Random, trials: int) -> str:
             prediction=pair, small_reward=ratio, large_reward=Fraction(1)
         )
         pref = core.preferred_decision(scenario)
-        assert pref.label is PreferenceLabel.ONE_BOX, (delta, pref)
+        _expect(pref.label is PreferenceLabel.ONE_BOX, (delta, pref))
     blunt = Fraction(2499, 5000)
     pair = PredictionModel(((blunt, half), (1 - blunt, half)))
     scenario = NewcombScenario(
         prediction=pair, small_reward=ratio, large_reward=Fraction(1)
     )
-    assert core.preferred_decision(scenario).label is PreferenceLabel.TWO_BOX
+    _expect(core.preferred_decision(scenario).label is PreferenceLabel.TWO_BOX)
     return (
         f"{trials} models: bound >= p(1-p) - 3*delta; sharp two-point "
         "priors force one-boxing at ratio 1/1000"
@@ -365,20 +377,20 @@ def _check_impossibility(rng: random.Random, trials: int) -> str:
         game = impossibility.build_adversarial_game(beliefs)
         bound = Fraction(1, n)
         target = game.target_index
-        assert beliefs[target] <= bound
-        assert all(pi > bound for pi in beliefs[:target]), "target not minimal"
-        assert game.rewards[target] == 1
-        assert sum(game.rewards) == 1
-        assert impossibility.optimal_choice(game) == target
-        assert impossibility.choice_payout(game, target) == 1
+        _expect(beliefs[target] <= bound)
+        _expect(all(pi > bound for pi in beliefs[:target]), "target not minimal")
+        _expect(game.rewards[target] == 1)
+        _expect(sum(game.rewards) == 1)
+        _expect(impossibility.optimal_choice(game) == target)
+        _expect(impossibility.choice_payout(game, target) == 1)
         bad = impossibility.bad_decision_probability(game)
-        assert bad == 1 - beliefs[target]
-        assert bad >= 1 - bound
+        _expect(bad == 1 - beliefs[target])
+        _expect(bad >= 1 - bound)
     for n in range(2, 11):
         uniform = tuple(Fraction(1, n) for _ in range(n))
         game = impossibility.build_adversarial_game(uniform)
-        assert game.target_index == 0
-        assert impossibility.bad_decision_probability(game) == 1 - Fraction(1, n)
+        _expect(game.target_index == 0)
+        _expect(impossibility.bad_decision_probability(game) == 1 - Fraction(1, n))
     return f"{trials} belief vectors: pigeonhole target, bad-pick bound"
 
 
@@ -386,13 +398,13 @@ def _check_simulation() -> str:
     scenario = builtin_scenarios()["symmetric-tenths"]
     report = montecarlo.simulate(scenario, samples=200_000, seed=2024)
     again = montecarlo.simulate(scenario, samples=200_000, seed=2024)
-    assert report == again, "identical runs disagreed"
+    _expect(report == again, "identical runs disagreed")
     rows = montecarlo.compare_to_exact(report, scenario)
     flagged = [row.quantity for row in rows if row.flagged]
-    assert not flagged, f"estimates off by >4 standard errors: {flagged}"
+    _expect(not flagged, f"estimates off by >4 standard errors: {flagged}")
     freqs = montecarlo.empirical_authority(report)
     for (omega, _), freq in zip(scenario.prediction.support, freqs):
-        assert freq is not None and abs(freq - float(omega)) < 0.02
+        _expect(freq is not None and abs(freq - float(omega)) < 0.02)
     return "200k-sample run reproducible and within 4 SEs of exact values"
 
 
@@ -410,32 +422,24 @@ def run_all(
     if models < 1:
         raise ValueError(f"models must be at least 1, got {models}")
     master = random.Random(seed)
-
-    def child() -> random.Random:
-        return random.Random(master.randrange(2**32))
-
-    checks: list[tuple[str, Callable[[], str]]] = [
-        ("worked-examples", _check_worked_examples),
-        ("distribution-laws", lambda r=child(): _check_distribution_laws(r, models)),
-        ("posterior-routes", lambda r=child(): _check_posterior_routes(r, models)),
-        ("expected-rewards", lambda r=child(): _check_expected_rewards(r, models)),
-        (
-            "preference-threshold",
-            lambda r=child(): _check_preference_threshold(r, models),
-        ),
-        ("authority", lambda r=child(): _check_authority(r, max(1, models // 2))),
-        ("refinement", lambda r=child(): _check_refinement(r, models)),
-        ("omniscience", lambda r=child(): _check_omniscience(r, models)),
-        (
-            "impossibility",
-            lambda r=child(): _check_impossibility(r, max(10, models * 2)),
-        ),
-        ("simulation", _check_simulation),
+    # a check with trials gets its own generator, seeded from master in order
+    checks: list[tuple[str, Callable[..., str], int | None]] = [
+        ("worked-examples", _check_worked_examples, None),
+        ("distribution-laws", _check_distribution_laws, models),
+        ("posterior-routes", _check_posterior_routes, models),
+        ("expected-rewards", _check_expected_rewards, models),
+        ("preference-threshold", _check_preference_threshold, models),
+        ("authority", _check_authority, max(1, models // 2)),
+        ("refinement", _check_refinement, models),
+        ("omniscience", _check_omniscience, models),
+        ("impossibility", _check_impossibility, max(10, models * 2)),
+        ("simulation", _check_simulation, None),
     ]
     results = []
-    for name, fn in checks:
+    for name, check, trials in checks:
+        args = (random.Random(master.randrange(2**32)), trials) if trials else ()
         try:
-            detail = fn()
+            detail = check(*args)
             result = CheckResult(name=name, ok=True, detail=detail)
         except Exception as exc:
             result = CheckResult(

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -280,6 +281,41 @@ class TestSweep:
         assert main(argv) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 1 + 200
         assert len(calls) == 8
+
+    # 1,000 values of p and one spread; the models are never built, so
+    # neither grid allocates its rows
+    @staticmethod
+    def _grid(ratios):
+        return [
+            "sweep",
+            "--p", ",".join(f"{k}/1001" for k in range(1, 1001)),
+            "--spread", "0",
+            "--ratio", ",".join(f"{m}/1001" for m in range(1, ratios + 1)),
+        ]
+
+    def test_grid_past_the_row_cap_is_refused(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "PredictionModel", _UnbuildableModel)
+        assert main(self._grid(1001)) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: grid of 1001000 rows exceeds the limit of 1000000 rows\n"
+        )
+
+    def test_grid_at_the_row_cap_is_built(self, monkeypatch):
+        monkeypatch.setattr(cli, "PredictionModel", _UnbuildableModel)
+        with pytest.raises(_ModelBuilt):
+            main(self._grid(1000))
+
+
+class _ModelBuilt(Exception):
+    pass
+
+
+class _UnbuildableModel:
+    @staticmethod
+    def from_weights(pairs):
+        raise _ModelBuilt
 
 
 class TestImpossibility:
@@ -772,6 +808,39 @@ def test_ctrl_c_exits_130_without_traceback():
     assert first.startswith(b"ok   worked-examples: ")
     assert child.returncode == EXIT_INTERRUPT
     assert b"Traceback" not in err
+
+
+# python -O strips assert statements; the battery's checks must survive it
+OPTIMIZED_VERIFY = """\
+import sys
+from fractions import Fraction
+from newcomb import cli, core
+
+if sys.argv[1:] == ["fault"]:
+    honest = core.posterior_box_full
+    core.posterior_box_full = lambda s, d: honest(s, d) + Fraction(1, 7)
+sys.exit(cli.main(["verify", "--models", "5"]))
+"""
+
+
+def test_verify_fails_a_fault_under_python_optimize():
+    env = {**_child_env(), "PYTHONOPTIMIZE": "1"}
+    argv = [sys.executable, "-c", OPTIMIZED_VERIFY]
+    honest = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (honest.returncode, honest.stdout) == (EXIT_OK, GOLDEN_VERIFY_5)
+    faulty = subprocess.run([*argv, "fault"], env=env, capture_output=True, text=True)
+    assert faulty.returncode == EXIT_VERIFY, faulty.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O would strip them, and a check would pass unchecked
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def _child_env():

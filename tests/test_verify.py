@@ -6,10 +6,15 @@ import pytest
 
 from newcomb import all_ok, run_all
 from newcomb import core, impossibility, refinement
+from newcomb.core import Decision, PreferenceLabel
 from newcomb.verify import (
     _check_authority,
+    _check_distribution_laws,
     _check_expected_rewards,
+    _check_impossibility,
+    _check_omniscience,
     _check_posterior_routes,
+    _check_preference_threshold,
     _check_refinement,
     builtin_scenarios,
     random_beliefs,
@@ -32,6 +37,108 @@ def joint_builds(monkeypatch):
 
     monkeypatch.setattr(core, "build_joint", counting)
     return calls
+
+
+def _flipped_two_box_coin(honest):
+    def build_joint(scenario):
+        return honest(scenario).map(
+            lambda a: a._replace(box_full=not a.box_full)
+            if a.decision is Decision.TWO_BOX
+            else a
+        )
+
+    return build_joint
+
+
+def _nudged_posterior(honest):
+    return lambda scenario, decision: honest(scenario, decision) + F(1, 10**9)
+
+
+def _one_box_plus_r(honest):
+    def expected_reward(scenario, decision):
+        bonus = scenario.small_reward if decision is Decision.ONE_BOX else 0
+        return honest(scenario, decision) + bonus
+
+    return expected_reward
+
+
+def _tie_labelled_onebox(honest):
+    def preferred_decision(scenario):
+        pref = honest(scenario)
+        if pref.label is PreferenceLabel.INDIFFERENT:
+            return dataclasses.replace(pref, label=PreferenceLabel.ONE_BOX)
+        return pref
+
+    return preferred_decision
+
+
+def _halved_last_entry(honest):
+    def authority_table(scenario):
+        table = honest(scenario)
+        last = list(table)[-1]
+        table[last] = table[last] / 2
+        return table
+
+    return authority_table
+
+
+def _shifted_variances(honest):
+    # the same offset on the fine and the coarse variance keeps the
+    # decomposition's own sum exact; only recomputing them shows it
+    def variance_decomposition(model):
+        parts = honest(model)
+        eps = F(1, 10**9)
+        return dataclasses.replace(
+            parts,
+            fine_variance=parts.fine_variance + eps,
+            coarse_variance=parts.coarse_variance + eps,
+        )
+
+    return variance_decomposition
+
+
+def _always_omniscient(honest):
+    return lambda model, delta: dataclasses.replace(
+        honest(model, delta), is_omniscient=True
+    )
+
+
+def _raised_bound(honest):
+    # the paper's bound is loose for delta > 0, so only an exact
+    # comparison sees it raised
+    def check_delta_omniscience(model, delta):
+        report = honest(model, delta)
+        raised = report.variance_lower_bound + F(1, 10**6)
+        return dataclasses.replace(report, variance_lower_bound=raised)
+
+    return check_delta_omniscience
+
+
+def _always_box_one(honest):
+    return lambda game: 0
+
+
+# one hand-written mutant per row, each caught by its own randomised check
+MUTANTS = [
+    pytest.param(_check_distribution_laws, core, "build_joint",
+                 _flipped_two_box_coin, 200, id="distribution-laws"),
+    pytest.param(_check_posterior_routes, core, "posterior_box_full",
+                 _nudged_posterior, 200, id="posterior-routes"),
+    pytest.param(_check_expected_rewards, core, "expected_reward",
+                 _one_box_plus_r, 200, id="expected-rewards"),
+    pytest.param(_check_preference_threshold, core, "preferred_decision",
+                 _tie_labelled_onebox, 200, id="preference-threshold"),
+    pytest.param(_check_authority, core, "authority_table",
+                 _halved_last_entry, 200, id="authority"),
+    pytest.param(_check_refinement, refinement, "variance_decomposition",
+                 _shifted_variances, 200, id="refinement"),
+    pytest.param(_check_omniscience, refinement, "check_delta_omniscience",
+                 _always_omniscient, 200, id="omniscience-verdict"),
+    pytest.param(_check_omniscience, refinement, "check_delta_omniscience",
+                 _raised_bound, 200, id="omniscience-bound"),
+    pytest.param(_check_impossibility, impossibility, "optimal_choice",
+                 _always_box_one, 20, id="impossibility"),
+]
 
 
 class TestBattery:
@@ -109,36 +216,13 @@ class TestBattery:
         # one joint answers both decisions
         assert len(joint_builds) == trials
 
-    def test_wrong_authority_entry_is_caught(self, monkeypatch):
-        honest = core.authority_table
-
-        def off_by_one_entry(scenario):
-            table = honest(scenario)
-            last = list(table)[-1]
-            table[last] = table[last] / 2
-            return table
-
-        monkeypatch.setattr(core, "authority_table", off_by_one_entry)
+    @pytest.mark.parametrize("check, module, name, mutant, trials", MUTANTS)
+    def test_mutant_is_caught(self, check, module, name, mutant, trials, monkeypatch):
+        # the check itself must catch it, called directly: the worked
+        # examples do not run here
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
         with pytest.raises(AssertionError):
-            _check_authority(random.Random(4), 5)
-
-    def test_shifted_variances_are_caught(self, monkeypatch):
-        # the same offset on the fine and the coarse variance keeps the
-        # decomposition's own sum exact; only recomputing them shows it
-        honest = refinement.variance_decomposition
-
-        def shifted(model):
-            parts = honest(model)
-            eps = F(1, 10**9)
-            return dataclasses.replace(
-                parts,
-                fine_variance=parts.fine_variance + eps,
-                coarse_variance=parts.coarse_variance + eps,
-            )
-
-        monkeypatch.setattr(refinement, "variance_decomposition", shifted)
-        with pytest.raises(AssertionError):
-            _check_refinement(random.Random(1), 200)
+            check(random.Random(1), trials)
 
 
 class TestGenerators:
