@@ -5,14 +5,24 @@ by inverse CDF, then flip the decision coin and the box-filling coin,
 both with bias omega_d. Each chunk of samples gets its own
 counter-based generator keyed by (seed, chunk index), so results are
 bit-reproducible for a given (samples, seed, chunk_size) triple and do
-not depend on the order chunks are processed in. One vectorized numpy
-kernel, kernels.count_cells_numpy, tallies each chunk.
+not depend on the order chunks are processed in. A chunk of m samples
+is 3m doubles of that stream: row 0 picks the point, rows 1 and 2 flip
+the coins. One vectorized numpy kernel, kernels.count_cells_numpy,
+tallies each chunk, with one guide table built per simulate call.
+
+A one-point prior never uses row 0, so simulate does not draw it.
+Philox is counter-based (Salmon et al., SC'11): advancing the counter
+by m // 4 skips 4 * (m // 4) doubles exactly, and the m % 4 left over
+are drawn into the end of row 0. Rows 1 and 2 get the very doubles a
+full draw gives them, so the tally does not move.
 
 simulate ends at the tally; compare_to_exact alone turns counts into
 estimates. Within a decision branch the payout takes only two values
 (r, plus R when the box is full), so each estimate is scale * phat +
-shift for a proportion phat of the counts. Standard errors use the
-plug-in variance phat*(1-phat)/n (ddof 0).
+shift for a proportion phat of the counts. Each deviation is a score
+test (Wilson, JASA 1927): it is measured in the standard error that the
+exact proportion pi itself gives, sqrt(pi * (1 - pi) / n), not the
+plug-in one, which is 0 whenever phat is 0 or 1.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from fractions import Fraction
 from . import core
 from .core import Decision, NewcombScenario
 from .errors import InvalidModelError, InvalidScenarioError, ZeroSamplesError
-from .kernels import count_cells_numpy
+from .kernels import count_cells_numpy, guide_table
 
 DEFAULT_CHUNK_SIZE = 1 << 18
 # a chunk holds 3 float64 uniforms per sample: about 100 MB at this size
@@ -62,8 +72,9 @@ class SimulationReport:
 class ComparisonRow:
     """One exact quantity next to its estimate.
 
-    deviation_ses is |estimate - exact| in standard-error units, None
-    when the estimate is unavailable. flagged marks deviations beyond
+    stderr is the standard error the exact value gives the estimate, and
+    deviation_ses is |estimate - exact| in that unit; both are None when
+    the estimate is unavailable. flagged marks deviations beyond
     the caller's threshold.
     """
 
@@ -145,16 +156,25 @@ def simulate(
 
     # one buffer for every chunk: a fresh (3, m) draw per chunk lets
     # glibc's malloc serve later chunks from a fragmenting heap
-    buffer = np.empty(3 * min(chunk_size, samples), dtype=np.float64)
+    width = min(chunk_size, samples)
+    buffer = np.empty(3 * width, dtype=np.float64)
+    one_point = len(support) == 1
+    guide = None if one_point else guide_table(cum, width)
     done = 0
     chunk_index = 0
     while done < samples:
         m = min(chunk_size, samples - done)
         key = np.array([seed, chunk_index], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        u = buffer[: 3 * m].reshape(3, m)  # C-contiguous, as out= requires
-        rng.random(out=u)
-        count_cells_numpy(u, cum, omega, counts)
+        bitgen = np.random.Philox(key=key)
+        start = 0
+        if one_point:
+            # the kernel never reads row 0: skip its whole blocks of 4
+            # doubles, and draw the m % 4 left over into its end
+            bitgen.advance(m // 4)
+            start = m - m % 4
+        np.random.Generator(bitgen).random(out=buffer[start : 3 * m])
+        u = buffer[: 3 * m].reshape(3, m)
+        count_cells_numpy(u, cum, omega, counts, guide=guide)
         done += m
         chunk_index += 1
 
@@ -192,51 +212,48 @@ def compare_to_exact(
     """Derive each estimate from report.cell_counts, next to its exact value.
 
     A row's estimate is scale * phat + shift (scale 1 or R, shift 0 or r)
-    with standard error scale * sqrt(phat (1 - phat) / trials). Requires
-    an imperfect prior, since the exact posteriors do. A zero standard
-    error flags exactly when the estimate differs at all from the exact
-    value (deviation 0 or infinity). A branch that drew no samples gives
-    a row with estimate and deviation None, never a fabricated zero.
+    for the proportion phat = successes / trials whose exact value is pi.
+    Its standard error is scale * sqrt(pi (1 - pi) / trials), taken at
+    the exact pi, and its deviation is |estimate - exact| in that unit.
+    Requires an imperfect prior, since the exact posteriors do. An exact
+    pi of 0 or 1 has a zero standard error, which flags exactly when the
+    estimate differs at all from the exact value (deviation 0 or
+    infinity). A branch that drew no samples gives a row with estimate
+    and deviation None, never a fabricated zero.
     """
     large, small = _float_rewards(scenario)
     (two_empty, two_full), (one_empty, one_full) = report.cell_counts
     n_one = one_empty + one_full
     n_two = two_empty + two_full
     p = scenario.prediction.p
-    # (quantity, exact, successes, trials, scale, shift)
+    post_one = core.posterior_box_full(scenario, Decision.ONE_BOX)
+    post_two = core.posterior_box_full(scenario, Decision.TWO_BOX)
+    # (quantity, exact, exact proportion, successes, trials, scale, shift)
     specs = (
-        ("p", p, n_one, report.samples, 1, 0),
+        ("p", p, p, n_one, report.samples, 1, 0),
         # the box fills with probability omega, so P(full) is the prior mean
-        ("prior_box_full", p, one_full + two_full, report.samples, 1, 0),
-        (
-            "posterior_full_onebox",
-            core.posterior_box_full(scenario, Decision.ONE_BOX),
-            one_full, n_one, 1, 0,
-        ),
-        (
-            "posterior_full_twobox",
-            core.posterior_box_full(scenario, Decision.TWO_BOX),
-            two_full, n_two, 1, 0,
-        ),
+        ("prior_box_full", p, p, one_full + two_full, report.samples, 1, 0),
+        ("posterior_full_onebox", post_one, post_one, one_full, n_one, 1, 0),
+        ("posterior_full_twobox", post_two, post_two, two_full, n_two, 1, 0),
         (
             "expected_reward_onebox",
             core.expected_reward(scenario, Decision.ONE_BOX),
-            one_full, n_one, large, 0,
+            post_one, one_full, n_one, large, 0,
         ),
         (
             "expected_reward_twobox",
             core.expected_reward(scenario, Decision.TWO_BOX),
-            two_full, n_two, large, small,
+            post_two, two_full, n_two, large, small,
         ),
     )
     rows = []
-    for name, exact, successes, trials, scale, shift in specs:
+    for name, exact, pi, successes, trials, scale, shift in specs:
         if not trials:
             rows.append(ComparisonRow(name, exact, None, None, None, False))
             continue
         phat = successes / trials
         estimate = scale * phat + shift
-        stderr = scale * math.sqrt(phat * (1.0 - phat) / trials)
+        stderr = scale * math.sqrt(float(pi * (1 - pi)) / trials)
         target = float(exact)
         if stderr == 0.0:
             deviation = 0.0 if estimate == target else math.inf

@@ -27,9 +27,20 @@ from .refinement import RefinementModel
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict and the number of trials behind it.
+
+    A fixed check counts one trial. A pass needs at least one trial, so
+    a check that ran none cannot report ok.
+    """
+
     name: str
     ok: bool
     detail: str
+    trials: int
+
+    def __post_init__(self) -> None:
+        if self.ok and self.trials < 1:
+            raise ValueError(f"{self.name}: a pass needs a trial, got {self.trials}")
 
 
 def _expect(ok: bool, *detail: object) -> None:
@@ -422,7 +433,8 @@ def run_all(
     if models < 1:
         raise ValueError(f"models must be at least 1, got {models}")
     master = random.Random(seed)
-    # a check with trials gets its own generator, seeded from master in order
+    # a check with trials gets its own generator, seeded from master in
+    # order; a fixed check (None) takes no arguments and counts one trial
     checks: list[tuple[str, Callable[..., str], int | None]] = [
         ("worked-examples", _check_worked_examples, None),
         ("distribution-laws", _check_distribution_laws, models),
@@ -438,12 +450,16 @@ def run_all(
     results = []
     for name, check, trials in checks:
         args = (random.Random(master.randrange(2**32)), trials) if trials else ()
+        count = trials or 1
         try:
             detail = check(*args)
-            result = CheckResult(name=name, ok=True, detail=detail)
+            result = CheckResult(name=name, ok=True, detail=detail, trials=count)
         except Exception as exc:
             result = CheckResult(
-                name=name, ok=False, detail=f"{type(exc).__name__}: {exc}"
+                name=name,
+                ok=False,
+                detail=f"{type(exc).__name__}: {exc}",
+                trials=count,
             )
         results.append(result)
         if echo is not None:

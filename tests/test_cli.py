@@ -436,18 +436,23 @@ class TestSimulate:
         assert captured.out == ""
         assert "chunk_size" in captured.err
 
-    def test_branch_without_samples_prints_unavailable(self, tmp_path, capsys):
-        # ten samples at omega = 10^-6 never one-box, so the one-box rows
-        # have no estimate. The exit code is not pinned: it is 3 only
-        # because the other rows' plug-in standard error is 0 and their
-        # deviation reads inf, a false flag of its own
+    @staticmethod
+    def _point_prior(tmp_path, omega):
         path = tmp_path / "point.json"
         point = {
-            "prediction": [{"omega": "1/1000000", "weight": "1"}],
+            "prediction": [{"omega": omega, "weight": "1"}],
             "rewards": {"r": "1", "R": "2"},
         }
         path.write_text(json.dumps(point))
-        main(["simulate", "--scenario", str(path), "--samples", "10", "--seed", "1"])
+        return str(path)
+
+    def test_branch_without_samples_prints_unavailable(self, tmp_path, capsys):
+        # ten samples at omega = 10^-6 never one-box, so the one-box rows
+        # have no estimate, and the two-box rows, all at proportion 0,
+        # sit well within the standard error of the exact 10^-6
+        path = self._point_prior(tmp_path, "1/1000000")
+        code = main(["simulate", "--scenario", path, "--samples", "10", "--seed", "1"])
+        assert code == EXIT_OK
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert (
@@ -459,6 +464,16 @@ class TestSimulate:
             "            -         -"
         ) in lines
         assert "Traceback" not in captured.err
+
+    def test_correct_sampler_is_not_flagged(self, tmp_path, capsys):
+        # about 10 of 1,000 samples one-box at omega = 1/100, so the
+        # one-box proportions are often exactly 0, where the plug-in
+        # standard error is 0 and any deviation read as infinite
+        path = self._point_prior(tmp_path, "1/100")
+        argv = ["simulate", "--scenario", path, "--samples", "1000"]
+        codes = [main([*argv, "--seed", str(seed)]) for seed in range(1, 21)]
+        assert codes == [EXIT_OK] * 20
+        assert "FLAGGED" not in capsys.readouterr().out
 
 
 class TestVerify:
@@ -1006,10 +1021,10 @@ counts: two-box/empty 41083, two-box/full 9195, one-box/empty 8960, one-box/full
 quantity                              exact       estimate       stderr   dev(SE) flag
 p                                       1/2        0.49722     0.001581      1.76
 prior_box_full                          1/2        0.49957     0.001581     0.272
-posterior_full_onebox                 41/50     0.81979808     0.001724     0.117
-posterior_full_twobox                  9/50     0.18288317     0.001724      1.67
-expected_reward_onebox               820000      819798.08         1724     0.117
-expected_reward_twobox               181000      183883.17         1724      1.67
+posterior_full_onebox                 41/50     0.81979808     0.001723     0.117
+posterior_full_twobox                  9/50     0.18288317     0.001713      1.68
+expected_reward_onebox               820000      819798.08         1723     0.117
+expected_reward_twobox               181000      183883.17         1713      1.68
 """
 
 GOLDEN_SIMULATE_S1_FLAGGED = """\
@@ -1019,10 +1034,10 @@ counts: two-box/empty 4113, two-box/full 904, one-box/empty 870, one-box/full 41
 quantity                              exact       estimate       stderr   dev(SE) flag
 p                                       1/2     0.49835016        0.005      0.33 <--
 prior_box_full                          1/2     0.50174983        0.005      0.35 <--
-posterior_full_onebox                 41/50     0.82544141     0.005377      1.01 <--
-posterior_full_twobox                  9/50     0.18018736     0.005426    0.0345 <--
-expected_reward_onebox               820000      825441.41         5377      1.01 <--
-expected_reward_twobox               181000      181187.36         5426    0.0345 <--
+posterior_full_onebox                 41/50     0.82544141     0.005442         1 <--
+posterior_full_twobox                  9/50     0.18018736     0.005424    0.0345 <--
+expected_reward_onebox               820000      825441.41         5442         1 <--
+expected_reward_twobox               181000      181187.36         5424    0.0345 <--
 FLAGGED: p, prior_box_full, posterior_full_onebox, posterior_full_twobox, \
 expected_reward_onebox, expected_reward_twobox deviate by more than 0.0 \
 standard error(s)

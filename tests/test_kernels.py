@@ -6,7 +6,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracle
-from newcomb.kernels import count_cells_numpy
+from newcomb.kernels import count_cells_numpy, guide_table
+
+
+def tally(u, cum, omega, counts, width=None):
+    """count_cells_numpy with a table built for width (default: the chunk)."""
+    guide = guide_table(cum, width or max(1, u.shape[1]))
+    count_cells_numpy(u, cum, omega, counts, guide=guide)
 
 
 def make_inputs(m, seed=0, cum=(0.5, 1.0), omega=(0.1, 0.9)):
@@ -23,15 +29,15 @@ def make_inputs(m, seed=0, cum=(0.5, 1.0), omega=(0.1, 0.9)):
 class TestNumpyKernel:
     def test_counts_total(self):
         u, cum, omega, counts = make_inputs(1000)
-        count_cells_numpy(u, cum, omega, counts)
+        tally(u, cum, omega, counts)
         assert counts.sum() == 1000
         assert (counts >= 0).all()
 
     def test_accumulates_in_place(self):
         u, cum, omega, counts = make_inputs(100)
-        count_cells_numpy(u, cum, omega, counts)
+        tally(u, cum, omega, counts)
         first = counts.copy()
-        count_cells_numpy(u, cum, omega, counts)
+        tally(u, cum, omega, counts)
         assert (counts == 2 * first).all()
 
     def test_exact_boundary_values(self):
@@ -47,7 +53,7 @@ class TestNumpyKernel:
         cum = np.array([0.5, 1.0])
         omega = np.array([0.1, 0.9])
         counts = np.zeros((2, 2, 2), dtype=np.int64)
-        count_cells_numpy(u, cum, omega, counts)
+        tally(u, cum, omega, counts)
         assert counts[0, 0, 1] == 1  # u=0.0 -> d=0; 0.1 not < 0.1; 0.0999 < 0.1
         assert counts[1, 1, 0] == 1  # u=0.5 -> d=1 exactly at cum[0]; 0.9 not < 0.9
         assert counts[0, 1, 0] == 1  # u=0.4999 -> d=0
@@ -56,15 +62,26 @@ class TestNumpyKernel:
 
     def test_matches_plain_loop(self):
         u, cum, omega, counts = make_inputs(5000, seed=7)
-        count_cells_numpy(u, cum, omega, counts)
+        tally(u, cum, omega, counts)
         reference = np.zeros_like(counts)
         oracle.count_cells_loop(u, cum, omega, reference)
         assert (counts == reference).all()
 
     def test_single_support_point(self):
         u, cum, omega, counts = make_inputs(256, cum=(1.0,), omega=(0.5,))
-        count_cells_numpy(u, cum, omega, counts)
+        tally(u, cum, omega, counts)
         assert counts.sum() == 256
+
+    def test_single_support_point_never_reads_row_zero(self):
+        # simulate does not draw row 0 for a one-point prior, so the
+        # kernel must tally from rows 1 and 2 alone
+        u, cum, omega, counts = make_inputs(4099, seed=5, cum=(1.0,), omega=(0.3,))
+        reference = np.zeros_like(counts)
+        oracle.count_cells_loop(u, cum, omega, reference)
+        u[0] = np.nan
+        count_cells_numpy(u, cum, omega, counts, guide=None)
+        assert (counts == reference).all()
+        assert counts.sum() == 4099
 
 
 def cum_from_weights(weights):
@@ -157,12 +174,15 @@ class TestExactness:
     @example((edge_block(ROUNDS_TO_ONE), ROUNDS_TO_ONE, np.array([0.2, 0.5, 0.8])))
     def test_equals_plain_loop(self, case):
         u, cum, omega = case
-        counts = np.zeros((len(cum), 2, 2), dtype=np.int64)
-        count_cells_numpy(u, cum, omega, counts)
-        reference = np.zeros_like(counts)
+        reference = np.zeros((len(cum), 2, 2), dtype=np.int64)
         oracle.count_cells_loop(u, cum, omega, reference)
-        assert (counts == reference).all()
-        assert counts.sum() == u.shape[1]
+        # a table built for this chunk, and the largest one, which simulate
+        # also hands its shorter tail chunk
+        for width in (None, 1 << 18):
+            counts = np.zeros_like(reference)
+            tally(u, cum, omega, counts, width)
+            assert (counts == reference).all()
+            assert counts.sum() == u.shape[1]
 
     def test_example_priors_have_their_shape(self):
         assert len(set(CLUSTERED[:-1])) == 31
@@ -188,7 +208,7 @@ class TestExactness:
 
         monkeypatch.setattr(np, "searchsorted", spy)
         counts = np.zeros((2, 2, 2), dtype=np.int64)
-        count_cells_numpy(u, cum, omega, counts)
+        tally(u, cum, omega, counts)
         monkeypatch.undo()
         # the table has a power-of-two size; the fallback is most of m
         assert any(m // 2 < size < m for size in searched), searched

@@ -1,13 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from newcomb import (
     NewcombScenario,
     PredictionModel,
+    SimulationReport,
     compare_to_exact,
     empirical_authority,
+    montecarlo,
     simulate,
 )
 from newcomb.errors import (
@@ -15,7 +18,7 @@ from newcomb.errors import (
     PerfectKnowledgeError,
     ZeroSamplesError,
 )
-from newcomb.montecarlo import MAX_CHUNK_SIZE
+from newcomb.montecarlo import MAX_CHUNK_SIZE, RNG_ALGORITHM
 
 F = Fraction
 
@@ -110,6 +113,25 @@ class TestDeterminism:
                     ((19, 122), (121, 594)),
                 ),
             ),
+            # 1 point, chunks of 1: each draws 3 doubles and skips none
+            (
+                ((F(1, 3), F(1)),),
+                101, 9, 1,
+                (((38, 31), (27, 5)),),
+            ),
+            # 1 point, chunks of 4096 (row 0 skipped in whole blocks) and
+            # a tail of 1810, 2 mod 4
+            (
+                ((F(1, 3), F(1)),),
+                10_002, 4, 4096,
+                (((4478, 2242), (2186, 1096)),),
+            ),
+            # 1 point, default chunk size, a tail of 37859, 3 mod 4
+            (
+                ((F(1, 3), F(1)),),
+                300_003, 2**63 + 1, None,
+                (((133707, 66731), (66369, 33196)),),
+            ),
         ],
     )
     def test_golden_tally(self, support, samples, seed, chunk_size, expected):
@@ -120,6 +142,49 @@ class TestDeterminism:
         kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
         report = simulate(scenario, samples=samples, seed=seed, **kwargs)
         assert report.support_counts == expected
+
+    @pytest.mark.parametrize("m", [*range(1, 10), 4099])
+    def test_philox_advance_skips_whole_blocks_of_four(self, m):
+        # simulate skips row 0 of a one-point chunk this way: advance(m // 4)
+        # passes 4 * (m // 4) doubles, and m % 4 more are drawn and unused
+        key = np.array([2**63 + 1, 7], dtype=np.uint64)
+        full = np.random.Generator(np.random.Philox(key=key)).random(3 * m)
+        bitgen = np.random.Philox(key=key)
+        bitgen.advance(m // 4)
+        rest = np.random.Generator(bitgen).random(m % 4 + 2 * m)
+        assert np.array_equal(rest[m % 4 :], full[m:])
+
+
+class TestKernelCalls:
+    """How simulate calls the kernel, which perfbench's tracing relies on.
+
+    perfbench/tracing.py counts one kernels.count span per chunk and
+    unpacks (u, cum, omega, counts) from the positional arguments.
+    """
+
+    @pytest.mark.parametrize("points", [1, 2, 300])
+    def test_one_call_per_chunk_with_four_positional_arguments(
+        self, points, monkeypatch
+    ):
+        support = tuple((F(i, points), F(1, points)) for i in range(points))
+        scenario = NewcombScenario(PredictionModel(support), F(1), F(2))
+        honest = montecarlo.count_cells_numpy
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, sorted(kwargs)))
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "count_cells_numpy", recording)
+        report = simulate(scenario, samples=10_003, seed=5, chunk_size=4096)
+        assert len(calls) == 3
+        for (args, keywords), m in zip(calls, (4096, 4096, 1811)):
+            assert len(args) == 4
+            assert keywords == ["guide"]
+            u = args[0]
+            assert isinstance(u, np.ndarray) and u.shape == (3, m)
+        monkeypatch.undo()
+        assert simulate(scenario, samples=10_003, seed=5, chunk_size=4096) == report
 
 
 class TestReport:
@@ -143,7 +208,8 @@ class TestReport:
         n_one = one_empty + one_full
         phat = n_one / 30_000
         assert by_name["p"].estimate == phat
-        assert by_name["p"].stderr == math.sqrt(phat * (1 - phat) / 30_000)
+        # standard errors are taken at the exact proportion: p = 1/2 here
+        assert by_name["p"].stderr == math.sqrt(0.25 / 30_000)
         assert by_name["prior_box_full"].estimate == (one_full + two_full) / 30_000
         post = one_full / n_one
         assert by_name["posterior_full_onebox"].estimate == post
@@ -154,7 +220,8 @@ class TestReport:
         post2 = two_full / n_two
         twobox = by_name["expected_reward_twobox"]
         assert twobox.estimate == large * post2 + small
-        assert twobox.stderr == large * math.sqrt(post2 * (1 - post2) / n_two)
+        exact2 = F(9, 50)  # P(full | two-box) for omega in {1/10, 9/10}
+        assert twobox.stderr == large * math.sqrt(float(exact2 * (1 - exact2)) / n_two)
 
     def test_empty_branch_reports_none_not_zero(self, symmetric_tenths):
         report = simulate(symmetric_tenths, samples=1, seed=0)
@@ -208,9 +275,9 @@ class TestComparison:
         by_name = {row.quantity: row for row in rows}
         assert by_name["p"].flagged
 
-    def test_zero_stderr_against_wrong_exact_flags_infinite(
-        self, symmetric_tenths
-    ):
+    def test_single_sample_branch_is_not_flagged(self, symmetric_tenths):
+        # one sample: the one-box branch is empty, and the two-box
+        # proportion is 0 or 1, whose plug-in standard error would be 0
         report = simulate(symmetric_tenths, samples=1, seed=0)
         rows = compare_to_exact(report, symmetric_tenths)
         by_name = {row.quantity: row for row in rows}
@@ -218,10 +285,37 @@ class TestComparison:
         assert unavailable.estimate is None
         assert unavailable.deviation_ses is None
         assert not unavailable.flagged
-        degenerate = by_name["posterior_full_twobox"]
-        assert degenerate.stderr == 0.0
-        assert degenerate.deviation_ses == math.inf
-        assert degenerate.flagged
+        single = by_name["posterior_full_twobox"]
+        assert single.estimate in (0.0, 1.0)
+        # the standard error at the exact 9/50
+        assert single.stderr == math.sqrt(float(F(9, 50) * F(41, 50)))
+        assert single.deviation_ses == abs(single.estimate - 0.18) / single.stderr
+        assert not single.flagged
+
+    def test_zero_stderr_against_wrong_exact_flags_infinite(self):
+        # omega in {0, 1}: every one-box sample has a full box and every
+        # two-box sample an empty one, so both posteriors are exactly 1
+        # and 0 and have no variance; a single sample off them is a fault
+        model = PredictionModel(((F(0), F(1, 2)), (F(1), F(1, 2))))
+        scenario = NewcombScenario(model, F(1), F(2))
+
+        def rows_for(counts):
+            report = SimulationReport(10, 0, 10, RNG_ALGORITHM, counts)
+            return {row.quantity: row for row in compare_to_exact(report, scenario)}
+
+        honest = rows_for((((5, 0), (0, 0)), ((0, 0), (0, 5))))
+        faulty = rows_for((((4, 1), (0, 0)), ((0, 0), (1, 4))))
+        for name in (
+            "posterior_full_onebox",
+            "posterior_full_twobox",
+            "expected_reward_onebox",
+            "expected_reward_twobox",
+        ):
+            assert honest[name].stderr == faulty[name].stderr == 0.0
+            assert honest[name].deviation_ses == 0.0
+            assert not honest[name].flagged
+            assert faulty[name].deviation_ses == math.inf
+            assert faulty[name].flagged
 
     def test_errors_shrink_like_root_n(self, symmetric_tenths):
         """100x the samples cuts the mean absolute error about 10x."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from newcomb import all_ok, run_all
+from newcomb import CheckResult, all_ok, run_all
 from newcomb import core, impossibility, refinement
 from newcomb.core import Decision, PreferenceLabel
 from newcomb.verify import (
@@ -152,6 +152,27 @@ class TestBattery:
         for models in (0, -3):
             with pytest.raises(ValueError, match="models"):
                 run_all(models=models)
+
+    def test_results_carry_their_trial_counts(self):
+        results = run_all(models=5)
+        assert [(r.name, r.trials) for r in results] == [
+            ("worked-examples", 1),
+            ("distribution-laws", 5),
+            ("posterior-routes", 5),
+            ("expected-rewards", 5),
+            ("preference-threshold", 5),
+            ("authority", 2),
+            ("refinement", 5),
+            ("omniscience", 5),
+            ("impossibility", 10),
+            ("simulation", 1),
+        ]
+
+    def test_zero_trial_pass_cannot_be_built(self):
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trial"):
+                CheckResult(name="empty", ok=True, detail="", trials=trials)
+            assert not CheckResult("empty", False, "", trials).ok
 
     def test_deterministic_given_seed(self):
         assert run_all(seed=5, models=30) == run_all(seed=5, models=30)
