@@ -30,7 +30,6 @@ from .core import (
     preferred_decision,
     scenario_summary,
 )
-from .dist import FiniteDist
 from .impossibility import (
     NBoxGame,
     bad_decision_probability,
@@ -69,7 +68,6 @@ __all__ = [
     "CheckResult",
     "ComparisonRow",
     "Decision",
-    "FiniteDist",
     "JointAtom",
     "LoadedScenario",
     "NBoxGame",

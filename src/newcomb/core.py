@@ -138,8 +138,10 @@ class PredictionModel:
         """Build from raw nonnegative weights.
 
         Duplicate omega values merge and weights normalize to total 1.
-        Empty, negative and zero-total input raise as
-        FiniteDist.from_weights does.
+        Empty, negative and zero-total input raise
+        EmptyDistributionError, NegativeWeightError and
+        ZeroTotalWeightError; a weight that is not a Fraction or an int
+        raises InvalidModelError.
         """
         merged, total = _merged_numerators(
             (coerce_fraction(omega, "omega"), weight) for omega, weight in pairs
@@ -235,7 +237,7 @@ class Preference:
     expected_twobox: Fraction
 
 
-def build_joint(scenario: NewcombScenario) -> FiniteDist[JointAtom]:
+def build_joint(scenario: NewcombScenario) -> FiniteDist:
     """Joint distribution over (d, decision, box_full).
 
     Given d, the decision flip and the filling flip are independent,
@@ -341,7 +343,7 @@ def preferred_decision(scenario: NewcombScenario) -> Preference:
 
 
 def _authority_pairs(
-    scenario: NewcombScenario, joint: FiniteDist[JointAtom]
+    scenario: NewcombScenario, joint: FiniteDist
 ) -> tuple[tuple[Fraction, Fraction], ...]:
     """(omega_d, P(one-box | omega = omega_d)) for each d, in support order.
 

@@ -1,41 +1,36 @@
-"""Finite probability distributions with exact rational weights.
+"""The exact distribution behind the joint over (bias, decision, box).
 
-A FiniteDist is an immutable map from hashable outcomes to Fraction
-weights that sum to exactly 1. Weights and mean values pass through
-rational.coerce_fraction, which refuses floats, so conditioning,
-marginals and means downstream stay exact.
+core.build_joint is the only builder of a FiniteDist, and conditioning
+that joint gives P(box full | own decision). So the class keeps only
+len, weight, prob, condition and mean, and from_weights, its one public
+constructor: the benchmark's tracer looks up from_weights and condition
+by name and counts the joint's atoms with len.
 
 Inside, a distribution is one positive int numerator per outcome over
-one shared int denominator, and the numerators sum to the denominator.
-Summing mass, conditioning (keep the matching numerators; their sum is
-the new denominator) and pushforward are plain int arithmetic, with no
-gcd and no Fraction per step. A Fraction is built only where a value
-leaves the object: prob, weight, mean and atoms. The public API is that
-of a map from outcomes to Fraction weights; the numerators are not part
-of it.
+one shared int denominator, which the numerators sum to. Summing mass
+and conditioning are plain int arithmetic, with no gcd per step; a
+Fraction is built only where a value leaves: weight, prob and mean.
+Weights and mean values pass through rational.coerce_fraction, which
+refuses floats, so everything downstream stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable, Generic, Hashable, Iterable, Iterator, TypeVar
+from math import lcm
+from typing import Callable, Hashable, Iterable
 
 from .errors import (
     EmptyDistributionError,
-    InvalidModelError,
     NegativeWeightError,
     ZeroProbabilityEventError,
     ZeroTotalWeightError,
 )
 from .rational import coerce_fraction, describe
 
-T = TypeVar("T", bound=Hashable)
-U = TypeVar("U", bound=Hashable)
-
 
 def _check_numerators(num: dict, den: int) -> None:
-    """The checks on atoms: some outcome, each weight num[x] / den
+    """The checks on a distribution: some outcome, each weight num[x] / den
     positive, and the weights summing to 1."""
     if not num:
         raise EmptyDistributionError("distribution has no atoms")
@@ -53,8 +48,8 @@ def _check_numerators(num: dict, den: int) -> None:
 
 
 def _merged_numerators(
-    pairs: Iterable[tuple[T, Fraction | int]],
-) -> tuple[dict[T, int], int]:
+    pairs: Iterable[tuple[Hashable, Fraction | int]],
+) -> tuple[dict, int]:
     """Raw nonnegative weights as int numerators, merged by outcome.
 
     Returns (numerators, total): outcome x has normalized weight
@@ -73,7 +68,7 @@ def _merged_numerators(
     if not checked:
         raise EmptyDistributionError("no atoms given")
     scale = lcm(*(w.denominator for _, w in checked))
-    merged: dict[T, int] = {}
+    merged: dict = {}
     for outcome, w in checked:
         merged[outcome] = merged.get(outcome, 0) + w.numerator * (
             scale // w.denominator
@@ -86,54 +81,28 @@ def _merged_numerators(
     return merged, total
 
 
-class FiniteDist(Generic[T]):
-    """Exact finite distribution. Build with from_weights, or from atoms
-    whose weights already sum to 1.
+class FiniteDist:
+    """Exact finite distribution: outcome x has weight num[x] / den.
 
-    atoms holds (outcome, weight) pairs with strictly positive Fraction
-    weights summing to 1, one pair per outcome, in first-occurrence
-    order of the input. Equality ignores order: two distributions are
-    equal when they assign the same weight to the same outcomes.
+    Build it with from_weights. The constructor itself checks nothing:
+    its caller passes positive int numerators that sum to den.
     """
 
-    __slots__ = ("_num", "_den", "_atoms")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, atoms: Iterable[tuple[T, Fraction | int]]) -> None:
-        atoms = tuple(atoms)
-        weights = [coerce_fraction(w, "atom weight") for _, w in atoms]
-        den = lcm(*(w.denominator for w in weights))
-        num = {
-            outcome: w.numerator * (den // w.denominator)
-            for (outcome, _), w in zip(atoms, weights)
-        }
-        if len(num) != len(atoms):
-            raise InvalidModelError(
-                "duplicate outcomes in atoms; use from_weights to merge"
-            )
-        _check_numerators(num, den)
-        self._set(num, den, tuple(zip(num, weights)))
-
-    def _set(self, num: dict, den: int, atoms) -> None:
+    def __init__(self, num: dict, den: int) -> None:
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_atoms", atoms)
 
     @classmethod
-    def _exact(cls, num: dict[T, int], den: int) -> "FiniteDist[T]":
-        # positive numerators summing to den, by construction of the caller
-        dist = object.__new__(cls)
-        dist._set(num, den, None)
-        return dist
-
-    @classmethod
-    def _from_numerators(cls, num: dict[T, int], den: int) -> "FiniteDist[T]":
+    def _from_numerators(cls, num: dict, den: int) -> FiniteDist:
         """Package-internal: the distribution num[x] / den, for int
-        numerators, checked as atoms are."""
+        numerators, checked to be positive and to sum to den."""
         _check_numerators(num, den)
-        return cls._exact(num, den)
+        return cls(num, den)
 
     @classmethod
-    def from_weights(cls, pairs: Iterable[tuple[T, Fraction | int]]) -> "FiniteDist[T]":
+    def from_weights(cls, pairs: Iterable[tuple[Hashable, Fraction | int]]) -> FiniteDist:
         """Normalize raw nonnegative weights into a distribution.
 
         Duplicate outcomes merge, zero-weight outcomes drop, and the
@@ -143,63 +112,25 @@ class FiniteDist(Generic[T]):
         """
         merged, total = _merged_numerators(pairs)
         # dividing every weight by the total mass is a change of denominator
-        return cls._exact(merged, total)
+        return cls(merged, total)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):
+        # *value: del passes no value, so one function serves both
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):
-        # pickle and copy rebuild through the checked constructor
-        return (type(self), (self.atoms,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(atoms={self.atoms!r})"
-
-    @property
-    def atoms(self) -> tuple[tuple[T, Fraction], ...]:
-        if self._atoms is None:
-            den = self._den
-            atoms = tuple((x, Fraction(n, den)) for x, n in self._num.items())
-            object.__setattr__(self, "_atoms", atoms)
-        return self._atoms
-
-    def __iter__(self) -> Iterator[tuple[T, Fraction]]:
-        return iter(self.atoms)
-
     def __len__(self) -> int:
         return len(self._num)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteDist):
-            return NotImplemented
-        mine, theirs = self._num, other._num
-        if mine.keys() != theirs.keys():
-            return False
-        a, b = self._den, other._den
-        return all(n * b == theirs[x] * a for x, n in mine.items())
-
-    def __hash__(self) -> int:
-        # the lowest common denominator is unique, so equal distributions
-        # hash equally whatever denominator each one carries
-        g = gcd(self._den, *self._num.values())
-        return hash(
-            (self._den // g, frozenset((x, n // g) for x, n in self._num.items()))
-        )
-
-    @property
-    def support(self) -> tuple[T, ...]:
-        return tuple(self._num)
-
-    def weight(self, outcome: T) -> Fraction:
+    def weight(self, outcome: Hashable) -> Fraction:
         """Mass of a single outcome; 0 when absent from the support."""
         return Fraction(self._num.get(outcome, 0), self._den)
 
-    def prob(self, event: Callable[[T], bool]) -> Fraction:
+    def prob(self, event: Callable[[Hashable], bool]) -> Fraction:
         return Fraction(sum(n for x, n in self._num.items() if event(x)), self._den)
 
-    def condition(self, event: Callable[[T], bool]) -> "FiniteDist[T]":
+    def condition(self, event: Callable[[Hashable], bool]) -> FiniteDist:
         """Exact conditional distribution given the event.
 
         Raises ZeroProbabilityEventError when the event has mass zero;
@@ -210,17 +141,9 @@ class FiniteDist(Generic[T]):
             raise ZeroProbabilityEventError(
                 "cannot condition on an event of probability zero"
             )
-        return FiniteDist._exact(kept, sum(kept.values()))
+        return FiniteDist(kept, sum(kept.values()))
 
-    def map(self, f: Callable[[T], U]) -> "FiniteDist[U]":
-        """Pushforward along f, merging outcomes with equal images."""
-        merged: dict[U, int] = {}
-        for x, n in self._num.items():
-            y = f(x)
-            merged[y] = merged.get(y, 0) + n
-        return FiniteDist._exact(merged, self._den)
-
-    def mean(self, f: Callable[[T], Fraction | int]) -> Fraction:
+    def mean(self, f: Callable[[Hashable], Fraction | int]) -> Fraction:
         # one product per distinct value, not one per atom
         by_value: dict[Fraction, int] = {}
         for x, n in self._num.items():

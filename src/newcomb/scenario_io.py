@@ -16,10 +16,11 @@ All numbers travel as exact rational strings ("<int>" or
 through a float. "partition" is optional and groups the prediction
 entries into blocks by their 1-based position in the file's list.
 
-Shape problems (missing keys, wrong types, unparseable rationals) raise
-ScenarioParseError; value problems (weights that do not sum to 1,
-nonpositive rewards, a partition that is not a partition) raise
-InvalidScenarioError. Both carry the offending field in the message.
+Shape problems (missing or repeated keys, wrong types, unparseable
+rationals) raise ScenarioParseError; value problems (weights that do not
+sum to 1, nonpositive rewards, a partition that is not a partition)
+raise InvalidScenarioError. Both carry the offending field in the
+message.
 """
 
 from __future__ import annotations
@@ -139,19 +140,30 @@ def _parse_partition(
         raise InvalidScenarioError(f"partition: {exc}") from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, refusing a key it repeats: json.load
+    would keep the last value and drop the others unseen."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioParseError(f"key {key!r} appears twice in one object")
+        data[key] = value
+    return data
+
+
 def load_scenario(path) -> LoadedScenario:
     """Read a scenario file. Missing files raise the usual OSError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ScenarioParseError(
                 f"{path}: invalid JSON at line {exc.lineno} "
                 f"column {exc.colno}: {exc.msg}"
             ) from None
         except (ValueError, RecursionError) as exc:
-            # a number past the int-string limit, or nesting past the
-            # recursion limit
+            # a number past the int-string limit, a repeated key (a
+            # ScenarioParseError), or nesting past the recursion limit
             raise ScenarioParseError(f"{path}: unreadable JSON: {exc}") from None
     return parse_scenario_data(data)
 

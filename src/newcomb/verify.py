@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from . import core, impossibility, montecarlo, refinement
@@ -205,12 +206,15 @@ def _check_distribution_laws(rng: random.Random, trials: int) -> str:
     for _ in range(trials):
         scenario = random_scenario(rng, require_imperfect=False)
         joint = core.build_joint(scenario)
-        total = sum((w for _, w in joint.atoms), Fraction(0))
+        # the weights of all 4n cells account for each atom the joint holds
+        n = len(scenario.prediction.support)
+        cells = [core.JointAtom(*c) for c in product(range(n), Decision, (False, True))]
+        total = joint.prob(lambda a: True)
         _expect(total == 1, f"joint mass {total}")
-        _expect(all(w > 0 for _, w in joint.atoms), "zero atom survived pruning")
+        held = sum(joint.weight(a) > 0 for a in cells)
+        _expect(len(joint) == held, "zero atom survived pruning")
         p = scenario.prediction.p
-        marginal = joint.map(lambda a: a.decision)
-        _expect(marginal.weight(Decision.ONE_BOX) == p)
+        _expect(joint.prob(lambda a: a.decision is Decision.ONE_BOX) == p)
         _expect(joint.prob(lambda a: a.box_full) == p)
         if 0 < p < 1:
             given_one = joint.condition(
@@ -221,7 +225,13 @@ def _check_distribution_laws(rng: random.Random, trials: int) -> str:
                 direct = joint.condition(
                     lambda a: a.decision is Decision.ONE_BOX and a.box_full
                 )
-                _expect(chained == direct, "conditioning chain broke")
+                # both conditionals live on the one-box, full cells
+                same = all(
+                    chained.weight(a) == direct.weight(a)
+                    for a in cells
+                    if a.decision is Decision.ONE_BOX and a.box_full
+                )
+                _expect(same, "conditioning chain broke")
     return f"{trials} random joints: unit mass, marginals, conditioning chain"
 
 

@@ -33,13 +33,6 @@ def condition(dist, pred):
     return {x: w / mass for x, w in dist.items() if pred(x)}
 
 
-def pushforward(dist, f):
-    image = {}
-    for x, w in dist.items():
-        image[f(x)] = image.get(f(x), Fraction(0)) + w
-    return image
-
-
 def expectation(dist, f):
     return sum((w * f(x) for x, w in dist.items()), Fraction(0))
 

@@ -533,6 +533,12 @@ TRAILING_NEWLINES = json.dumps(
         "rewards": {"r": "1000\n", "R": "1000000\n"},
     }
 )
+# json.load alone keeps the last of the repeated keys: R = 5
+DUPLICATE_KEY = (
+    '{"prediction": [{"omega": "1/10", "weight": "1/2"},'
+    ' {"omega": "9/10", "weight": "1/2"}],'
+    ' "rewards": {"r": "1000", "R": "1000000", "R": "5"}}'
+)
 
 
 class TestHostileInputs:
@@ -560,6 +566,12 @@ class TestHostileInputs:
             (["analyze"], LONG_WEIGHTS, EXIT_DATA),
             (["analyze"], TRAILING_NEWLINES, EXIT_DATA),
             (["analyze", "--emit", "missing/s1.json"], json.dumps(S1), EXIT_DATA),
+            (["analyze"], DUPLICATE_KEY, EXIT_DATA),
+            (
+                ["analyze"],
+                json.dumps({**S1, "rewards": {"r": "1000", "R": "0"}}),
+                EXIT_DATA,
+            ),
         ],
         ids=[
             "analyze-huge-R",
@@ -573,6 +585,8 @@ class TestHostileInputs:
             "long-weight-sum",
             "trailing-newlines",
             "emit-missing-directory",
+            "duplicate-key",
+            "zero-large-reward",
         ],
     )
     def test_exit_code_without_traceback(
@@ -593,6 +607,7 @@ class TestHostileInputs:
             assert "(ratio r/R = 1/1" + "0" * 397 + " (1e-397))" in captured.out
         else:
             assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
             assert captured.out == ""
 
 

@@ -167,6 +167,11 @@ class TestScenario:
         with pytest.raises(InvalidModelError):
             NewcombScenario("not a model", F(1), F(10))
 
+    def test_zero_large_reward_is_refused(self, symmetric_tenths):
+        # R = 0 would reach r / R in the threshold comparison
+        with pytest.raises(InvalidModelError, match="large_reward"):
+            NewcombScenario(symmetric_tenths.prediction, F(1), F(0))
+
 
 class TestJoint:
     def test_matches_enumeration_exactly(self, symmetric_tenths):

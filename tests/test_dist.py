@@ -1,5 +1,3 @@
-import copy
-import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,6 +24,9 @@ LONG_SUM_TERMS = (F(1, int("3" * 3000)), F(1, int("7" * 3001)))
 # weights that are not exact rationals: coercing any of them would
 # launder rounding error or text parsing into exact arithmetic
 INEXACT_WEIGHTS = [0.5, "1/2", True, Decimal("0.5")]
+
+# every outcome the strategies draw, plus one they never do
+OUTCOMES = "abcdez"
 
 raw_weightings = st.lists(
     st.tuples(
@@ -56,6 +57,11 @@ def in_f(x):
     return x in "bcd"
 
 
+def weights(d):
+    """The weight d gives each outcome of OUTCOMES."""
+    return [d.weight(x) for x in OUTCOMES]
+
+
 class TestConstruction:
     def test_normalizes(self):
         d = FiniteDist.from_weights([("a", F(2)), ("b", F(6))])
@@ -66,13 +72,16 @@ class TestConstruction:
         d = FiniteDist.from_weights(
             [("a", F(1)), ("b", F(0)), ("a", F(1)), ("c", F(2))]
         )
-        assert d.support == ("a", "c")
+        assert len(d) == 2
         assert d.weight("a") == F(1, 2)
         assert d.weight("b") == 0
+        assert d.weight("c") == F(1, 2)
 
     def test_empty_input(self):
         with pytest.raises(EmptyDistributionError):
             FiniteDist.from_weights([])
+        with pytest.raises(EmptyDistributionError):
+            FiniteDist._from_numerators({}, 1)
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeightError):
@@ -84,24 +93,22 @@ class TestConstruction:
 
     def test_direct_construction_checks_mass(self):
         with pytest.raises(ZeroTotalWeightError):
-            FiniteDist(atoms=(("a", F(1, 2)),))
+            FiniteDist._from_numerators({"a": 1}, 2)
 
     def test_mass_too_long_to_print_still_raises_the_model_error(self):
+        den = LONG_SUM_TERMS[0].denominator * LONG_SUM_TERMS[1].denominator
+        num = {x: den // w.denominator for x, w in zip("ab", LONG_SUM_TERMS)}
         with pytest.raises(ZeroTotalWeightError, match="too long to print"):
-            FiniteDist(atoms=tuple(zip("ab", LONG_SUM_TERMS)))
-
-    def test_direct_construction_rejects_duplicates(self):
-        with pytest.raises(InvalidModelError):
-            FiniteDist(atoms=(("a", F(1, 2)), ("a", F(1, 2))))
+            FiniteDist._from_numerators(num, den)
 
     def test_direct_construction_rejects_nonpositive_atoms(self):
         with pytest.raises(NegativeWeightError):
-            FiniteDist(atoms=(("a", F(0)), ("b", F(1))))
+            FiniteDist._from_numerators({"a": 0, "b": 1}, 1)
 
     def test_int_atom_weights_come_back_as_fractions(self):
-        d = FiniteDist(atoms=(("a", 1),))
+        d = FiniteDist.from_weights([("a", 1)])
         assert type(d.weight("a")) is Fraction
-        assert [type(w) for _, w in d.atoms] == [Fraction]
+        assert type(d.weight("z")) is Fraction
 
     @pytest.mark.parametrize(
         "bad", INEXACT_WEIGHTS, ids=lambda v: type(v).__name__
@@ -109,47 +116,46 @@ class TestConstruction:
     def test_inexact_weights_are_refused(self, bad):
         with pytest.raises(InvalidModelError, match="Fraction or int"):
             FiniteDist.from_weights([("a", bad), ("b", F(1))])
-        with pytest.raises(InvalidModelError, match="Fraction or int"):
-            FiniteDist(atoms=(("a", bad), ("b", F(1, 2))))
+
+    def test_is_immutable(self):
+        d = FiniteDist.from_weights([("a", 1), ("b", 2)])
+        with pytest.raises(AttributeError):
+            d._den = 1
+        with pytest.raises(AttributeError):
+            del d._num
+        assert d.weight("b") == F(2, 3)
 
 
 class TestEquality:
+    """Two distributions are equal when they give every outcome the same
+    weight, whatever order, merging or denominator built them."""
+
     def test_order_insensitive(self):
         d1 = FiniteDist.from_weights([("a", F(1)), ("b", F(3))])
         d2 = FiniteDist.from_weights([("b", F(3)), ("a", F(1))])
-        assert d1 == d2
-        assert hash(d1) == hash(d2)
+        assert weights(d1) == weights(d2)
 
     def test_merge_insensitive(self):
         d1 = FiniteDist.from_weights([("a", F(1)), ("a", F(1))])
         d2 = FiniteDist.from_weights([("a", F(7))])
-        assert d1 == d2
+        assert weights(d1) == weights(d2)
+        assert len(d1) == len(d2) == 1
 
     def test_different_masses_differ(self):
         d1 = FiniteDist.from_weights([("a", F(1)), ("b", F(1))])
         d2 = FiniteDist.from_weights([("a", F(1)), ("b", F(3))])
-        assert d1 != d2
-
-    def test_survives_pickle_and_copy(self):
-        d = FiniteDist.from_weights([("a", 1), ("b", 2)]).condition(lambda x: True)
-        for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
-            assert clone == d
-            assert clone.atoms == d.atoms
-        with pytest.raises(AttributeError):
-            d._den = 1
+        assert weights(d1) != weights(d2)
 
     @given(int_weightings, st.integers(min_value=2, max_value=9))
     def test_equal_whatever_the_denominator_held(self, pairs, k):
         """Scaling every raw weight by k scales the denominator held inside
-        by k, and changes neither equality nor the hash."""
+        by k, and changes no weight."""
         d1 = FiniteDist.from_weights(pairs)
         d2 = FiniteDist.from_weights((x, k * w) for x, w in pairs)
-        d3 = FiniteDist(atoms=reversed(d1.atoms))
         assert d2._den == k * d1._den
-        assert d1 == d2 == d3
-        assert hash(d1) == hash(d2) == hash(d3)
-        heavier = FiniteDist.from_weights(pairs + [("f", 1)])
-        assert heavier != d1 and d1 != heavier
+        assert weights(d1) == weights(d2)
+        heavier = FiniteDist.from_weights(pairs + [("z", 1)])
+        assert weights(heavier) != weights(d1)
 
 
 class TestQueries:
@@ -171,12 +177,6 @@ class TestQueries:
         with pytest.raises(InvalidModelError, match="Fraction or int"):
             d.mean(lambda x: bad)
 
-    def test_map_merges_images(self):
-        d = FiniteDist.from_weights([(-1, F(1)), (1, F(1)), (2, F(2))])
-        squared = d.map(lambda x: x * x)
-        assert squared.weight(1) == F(1, 2)
-        assert squared.weight(4) == F(1, 2)
-
 
 class TestConditioning:
     def test_reweights_exactly(self):
@@ -195,14 +195,13 @@ class TestConditioning:
     def test_total_mass_is_one(self, pairs):
         """Normalization always lands on exactly 1, never approximately."""
         d = FiniteDist.from_weights(pairs)
-        assert sum((w for _, w in d.atoms), F(0)) == 1
+        assert d.prob(lambda x: True) == 1
+        assert sum(weights(d), F(0)) == 1
 
     @given(raw_weightings)
     def test_chained_conditioning_matches_conjunction(self, pairs):
         """condition(E) then condition(F) equals condition(E and F)."""
         d = FiniteDist.from_weights(pairs)
-        in_e = lambda x: x in "abc"
-        in_f = lambda x: x in "bcd"
         if d.prob(in_e) == 0:
             return
         step = d.condition(in_e)
@@ -210,18 +209,18 @@ class TestConditioning:
             return
         chained = step.condition(in_f)
         direct = d.condition(lambda x: in_e(x) and in_f(x))
-        assert chained == direct
+        assert weights(chained) == weights(direct)
+        assert len(chained) == len(direct)
 
     @given(raw_weightings)
     def test_conditioning_preserves_weight_ratios(self, pairs):
         """Surviving outcomes keep their relative odds."""
         d = FiniteDist.from_weights(pairs)
-        in_e = lambda x: x in "abc"
         mass = d.prob(in_e)
         if mass == 0:
             return
         conditioned = d.condition(in_e)
-        for outcome in d.support:
+        for outcome in OUTCOMES:
             if in_e(outcome):
                 assert conditioned.weight(outcome) == d.weight(outcome) / mass
 
@@ -233,11 +232,9 @@ class TestAgainstFractionOracle:
     def test_atoms_weight_prob_and_len(self, pairs):
         d = FiniteDist.from_weights(pairs)
         ref = oracle.normalize(pairs)
-        assert d.atoms == tuple(ref.items())
-        assert all(type(w) is Fraction for _, w in d.atoms)
+        assert weights(d) == [ref.get(x, 0) for x in OUTCOMES]
+        assert all(type(w) is Fraction for w in weights(d))
         assert len(d) == len(ref)
-        for outcome in "abcdez":
-            assert d.weight(outcome) == ref.get(outcome, 0)
         for event in (in_e, in_f, lambda x: True, lambda x: False):
             assert d.prob(event) == oracle.event_prob(ref, event)
 
@@ -249,21 +246,18 @@ class TestAgainstFractionOracle:
             return
         given_e = d.condition(in_e)
         ref_e = oracle.condition(ref, in_e)
-        assert given_e.atoms == tuple(ref_e.items())
+        assert weights(given_e) == [ref_e.get(x, 0) for x in OUTCOMES]
+        assert len(given_e) == len(ref_e)
         assert given_e.prob(in_f) == oracle.event_prob(ref_e, in_f)
         if oracle.event_prob(ref_e, in_f) == 0:
             return
         chained = given_e.condition(in_f)
         ref_ef = oracle.condition(ref_e, in_f)
-        assert chained.atoms == tuple(ref_ef.items())
+        assert weights(chained) == [ref_ef.get(x, 0) for x in OUTCOMES]
         assert len(chained) == len(ref_ef)
 
     @given(raw_weightings, outcome_values)
-    def test_map_and_mean(self, pairs, values):
+    def test_mean(self, pairs, values):
         d = FiniteDist.from_weights(pairs)
         ref = oracle.normalize(pairs)
-        image = d.map(values.__getitem__)
-        ref_image = oracle.pushforward(ref, values.__getitem__)
-        assert image.atoms == tuple(ref_image.items())
         assert d.mean(values.__getitem__) == oracle.expectation(ref, values.__getitem__)
-        assert image.mean(lambda v: v) == oracle.expectation(ref_image, lambda v: v)

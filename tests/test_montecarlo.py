@@ -40,14 +40,14 @@ class TestValidation:
             simulate(symmetric_tenths, samples=10, seed=0, chunk_size=0)
 
     def test_chunk_size_is_capped(self, symmetric_tenths):
+        # the documented cap, 2^22, as a literal: reading it back from the
+        # module would let a changed cap pass
+        assert MAX_CHUNK_SIZE == 4194304
         # rejected before any draw, so nothing of that size is allocated
         with pytest.raises(InvalidModelError, match="chunk_size"):
-            simulate(
-                symmetric_tenths,
-                samples=10,
-                seed=0,
-                chunk_size=MAX_CHUNK_SIZE + 1,
-            )
+            simulate(symmetric_tenths, samples=10, seed=0, chunk_size=4194305)
+        # the cap itself is allowed; 10 samples fill one chunk of 10
+        simulate(symmetric_tenths, samples=10, seed=0, chunk_size=4194304)
 
 
 class TestDeterminism:

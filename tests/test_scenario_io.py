@@ -236,3 +236,18 @@ class TestFiles:
         path.write_text('{\n  "prediction": [,]\n}\n')
         with pytest.raises(ScenarioParseError, match="line 2"):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"rewards": {"r": "1000", "R": "1000000", "R": "5"}}', "'R'"),
+            ('{"prediction": [{"omega": "1/2", "omega": "1/3"}]}', "'omega'"),
+            ('{"rewards": {}, "rewards": {}}', "'rewards'"),
+        ],
+        ids=["rewards", "prediction-entry", "top-level"],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioParseError, match=f"key {key} appears twice"):
+            load_scenario(path)

@@ -1,12 +1,14 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from newcomb import CheckResult, all_ok, run_all
 from newcomb import core, impossibility, refinement
-from newcomb.core import Decision, PreferenceLabel
+from newcomb.core import Decision, JointAtom, PreferenceLabel
+from newcomb.dist import FiniteDist
 from newcomb.verify import (
     _check_authority,
     _check_distribution_laws,
@@ -41,11 +43,28 @@ def joint_builds(monkeypatch):
 
 def _flipped_two_box_coin(honest):
     def build_joint(scenario):
-        return honest(scenario).map(
-            lambda a: a._replace(box_full=not a.box_full)
-            if a.decision is Decision.TWO_BOX
-            else a
+        joint = honest(scenario)
+        n = len(scenario.prediction.support)
+        cells = [JointAtom(*c) for c in product(range(n), Decision, (False, True))]
+        return FiniteDist.from_weights(
+            (
+                a._replace(box_full=not a.box_full)
+                if a.decision is Decision.TWO_BOX
+                else a,
+                joint.weight(a),
+            )
+            for a in cells
         )
+
+    return build_joint
+
+
+def _unpruned_zero_atom(honest):
+    # the honest joint plus one cell past the support, held at weight 0
+    def build_joint(scenario):
+        joint = honest(scenario)
+        extra = JointAtom(len(scenario.prediction.support), Decision.ONE_BOX, True)
+        return FiniteDist({**joint._num, extra: 0}, joint._den)
 
     return build_joint
 
@@ -122,6 +141,8 @@ def _always_box_one(honest):
 MUTANTS = [
     pytest.param(_check_distribution_laws, core, "build_joint",
                  _flipped_two_box_coin, 200, id="distribution-laws"),
+    pytest.param(_check_distribution_laws, core, "build_joint",
+                 _unpruned_zero_atom, 200, id="distribution-laws-pruning"),
     pytest.param(_check_posterior_routes, core, "posterior_box_full",
                  _nudged_posterior, 200, id="posterior-routes"),
     pytest.param(_check_expected_rewards, core, "expected_reward",
