@@ -120,6 +120,9 @@ def _parse_partition(
     file_to_model = [position[omega] for omega, _ in file_support]
     n = len(file_support)
     blocks = []
+    # repeats and gaps are found here, in file positions: the model's
+    # own checks would name its sorted 0-based indices
+    seen: set[int] = set()
     for b, block in enumerate(raw):
         where = f"partition[{b}]"
         if not isinstance(block, list):
@@ -132,8 +135,18 @@ def _parse_partition(
                 raise InvalidScenarioError(
                     f"{where}: index {k} outside 1..{n}"
                 )
+            if k in seen:
+                raise InvalidScenarioError(
+                    f"{where}: index {k} appears in more than one block"
+                )
+            seen.add(k)
             translated.append(file_to_model[k - 1])
         blocks.append(tuple(translated))
+    if len(seen) != n:
+        missing = sorted(set(range(1, n + 1)) - seen)
+        raise InvalidScenarioError(
+            f"partition: indices {missing} are not covered by any block"
+        )
     try:
         return RefinementModel(fine=model, blocks=tuple(blocks))
     except InvalidPartitionError as exc:

@@ -115,6 +115,38 @@ class TestAnalyze:
         )
         assert "delta-omniscient at delta = 3/10: yes" in out
 
+    # the file lists its omegas unsorted, so the model's sorted 0-based
+    # indices differ from the positions the file's blocks use
+    @pytest.mark.parametrize(
+        "partition, err",
+        [
+            (
+                [[1, 2], [2, 3, 4]],
+                "error: partition[1]: index 2 appears in more than one block\n",
+            ),
+            (
+                [[1, 2], [4]],
+                "error: partition: indices [3] are not covered by any block\n",
+            ),
+        ],
+        ids=["repeated", "missing"],
+    )
+    def test_partition_errors_name_file_positions(
+        self, partition, err, tmp_path, capsys
+    ):
+        omegas = ["9/10", "1/10", "3/10", "7/10"]
+        data = {
+            "prediction": [{"omega": o, "weight": "1/4"} for o in omegas],
+            "rewards": {"r": "1", "R": "100"},
+            "partition": partition,
+        }
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", "--scenario", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+
     # 1/2 is out of range for p = 1/2, and 1.5 is not a rational's grammar
     @pytest.mark.parametrize("delta", ["1/2", "1.5"])
     def test_bad_delta_prints_nothing(self, delta, s1_path, capsys):
@@ -230,6 +262,13 @@ class TestSweep:
     def test_invalid_grids(self, args, capsys):
         assert main(["sweep", *args]) == EXIT_DATA
 
+    def test_empty_list_names_the_option(self, capsys):
+        argv = ["sweep", "--p", ",", "--spread", "1/10", "--ratio", "1/2"]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "error: --p: empty list\n"
+        assert captured.out == ""
+
     def test_rows_agree_with_the_engine(self, tmp_path):
         out_path = tmp_path / "grid.csv"
         main(
@@ -327,9 +366,68 @@ class TestImpossibility:
         assert "counterfactually optimal choice: box 2" in out
         assert "P(subject picks a worthless box): 7/10 (0.7)" in out
 
-    def test_bad_vector(self, capsys):
-        assert main(["impossibility", "--beliefs", "1/2,1/3"]) == EXIT_DATA
-        assert main(["impossibility", "--beliefs", "0.5,0.5"]) == EXIT_DATA
+    # one validation pass reports these in the order the checks run:
+    # box count, negatives, sum, then certainty
+    @pytest.mark.parametrize(
+        "args, err, code",
+        [
+            (
+                ["--beliefs", "1/2,1/3"],
+                "error: beliefs sum to 5/6, not 1\n",
+                EXIT_DATA,
+            ),
+            (
+                ["--beliefs", "1,0"],
+                "error: a belief of exactly 0 or 1 means certainty about a box\n",
+                EXIT_DATA,
+            ),
+            (
+                ["--beliefs=-1/2,3/2"],
+                "error: belief entries must not be negative\n",
+                EXIT_DATA,
+            ),
+            # without "=" argparse takes the value for an option
+            (
+                ["--beliefs", "-1/2,3/2"],
+                "newcomb impossibility: error: argument --beliefs: "
+                "expected one argument\n",
+                EXIT_USAGE,
+            ),
+            (
+                ["--beliefs", "1"],
+                "error: the game needs at least two boxes\n",
+                EXIT_DATA,
+            ),
+            (
+                ["--beliefs", "0.5,0.5"],
+                "error: --beliefs[0]: '0.5' is not of the form "
+                "'<int>' or '<int>/<posint>'\n",
+                EXIT_DATA,
+            ),
+            # two faults each: the earlier check names its own
+            (
+                ["--beliefs=-1,1,1"],
+                "error: belief entries must not be negative\n",
+                EXIT_DATA,
+            ),
+            (["--beliefs", "0,1/2"], "error: beliefs sum to 1/2, not 1\n", EXIT_DATA),
+        ],
+        ids=[
+            "sum",
+            "certainty",
+            "negative",
+            "negative-without-equals",
+            "one-box",
+            "decimal",
+            "negative-before-certainty",
+            "sum-before-certainty",
+        ],
+    )
+    def test_bad_vector(self, args, err, code, capsys):
+        assert main(["impossibility", *args]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
 
 
 class TestSimulate:

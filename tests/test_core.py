@@ -75,6 +75,8 @@ class TestPredictionModel:
             ((HALF, F(0)), (F(1, 4), F(1))),
             ((HALF, F(-1)), (F(1, 4), F(2))),
             ((HALF, F(1, 2)), (HALF, F(1, 2))),
+            # an entry that is not an (omega, weight) pair
+            (HALF,),
         ],
     )
     def test_invalid_supports(self, support):

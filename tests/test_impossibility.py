@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from newcomb import (
     bad_decision_probability,
     build_adversarial_game,
     choice_payout,
+    impossibility,
     optimal_choice,
 )
 from newcomb.errors import (
@@ -16,6 +18,7 @@ from newcomb.errors import (
     NotADistributionError,
     PerfectKnowledgeError,
 )
+from newcomb.rational import coerce_fraction
 from strategies import belief_vectors
 
 F = Fraction
@@ -71,13 +74,27 @@ class TestBuild:
 
 class TestGameObject:
     def test_direct_construction_validates(self):
-        beliefs = (F(1, 2), F(1, 2))
-        with pytest.raises(InvalidModelError):
-            NBoxGame(beliefs=beliefs, target_index=5, rewards=(F(1), F(0)))
-        with pytest.raises(InvalidModelError):
-            NBoxGame(beliefs=beliefs, target_index=0, rewards=(F(1),))
-        with pytest.raises(InvalidModelError):
-            NBoxGame(beliefs=beliefs, target_index=0, rewards=(F(1), F(-1)))
+        game = NBoxGame((F(1, 2), F(3, 10), F(1, 5)))
+        assert game == build_adversarial_game([F(1, 2), F(3, 10), F(1, 5)])
+        assert (game.target_index, game.rewards) == (1, (F(0), F(1), F(0)))
+        with pytest.raises(NotADistributionError, match="sum to 5/6"):
+            NBoxGame((F(1, 2), F(1, 3)))
+
+    def test_only_the_beliefs_are_an_input(self):
+        assert [f.name for f in fields(NBoxGame) if f.init] == ["beliefs"]
+        with pytest.raises(TypeError):
+            NBoxGame((F(1, 2), F(1, 2)), target_index=1)
+
+    def test_each_belief_is_coerced_once(self, monkeypatch):
+        calls = []
+
+        def counting(value, what):
+            calls.append(what)
+            return coerce_fraction(value, what)
+
+        monkeypatch.setattr(impossibility, "coerce_fraction", counting)
+        build_adversarial_game((F(1, 2), F(3, 10), F(1, 5)))
+        assert calls == ["beliefs[0]", "beliefs[1]", "beliefs[2]"]
 
     def test_payout_is_the_reward_of_the_chosen_box(self):
         game = build_adversarial_game((F(1, 2), F(3, 10), F(1, 5)))
@@ -85,17 +102,15 @@ class TestGameObject:
         assert choice_payout(game, 0) == 0
         with pytest.raises(InvalidModelError):
             choice_payout(game, 3)
+        # too many digits for str(); the message must still render
+        with pytest.raises(InvalidModelError, match="too long to print"):
+            choice_payout(game, 10**5000)
 
-    def test_optimal_choice_requires_a_unique_best(self):
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+    def test_payout_refuses_an_index_that_is_not_an_int(self, index):
         game = build_adversarial_game((F(1, 2), F(3, 10), F(1, 5)))
-        assert optimal_choice(game) == 1
-        flat = NBoxGame(
-            beliefs=(F(1, 2), F(1, 2)),
-            target_index=0,
-            rewards=(F(1), F(1)),
-        )
-        with pytest.raises(InvalidModelError):
-            optimal_choice(flat)
+        with pytest.raises(InvalidModelError, match="is not an integer"):
+            choice_payout(game, index)
 
 
 class TestPigeonhole:

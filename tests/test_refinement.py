@@ -50,6 +50,8 @@ class TestConstruction:
             ((0, 1), (2, -1)),
             ((0, 1), (2, True)),
             ((0, 1), (2, F(3))),
+            # a block that is not a sequence of indices
+            (5,),
         ],
     )
     def test_non_partitions_rejected(self, blocks):

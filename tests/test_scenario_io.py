@@ -95,6 +95,11 @@ class TestParsing:
             ),
             (variant(rewards={"r": "1"}), ScenarioParseError, "missing"),
             (variant(rewards="x"), ScenarioParseError, "object"),
+            (
+                variant(prediction=["1/2"]),
+                ScenarioParseError,
+                "prediction[0]: must be an object",
+            ),
         ],
     )
     def test_shape_errors(self, data, exc, needle):

@@ -216,21 +216,27 @@ class TestBattery:
         def last_instead_of_first(beliefs):
             game = honest(beliefs)
             n = game.n
+            # the worked examples' 3- and 4-box games stay honest, so
+            # the randomised check has to catch this on its own
+            if n < 5:
+                return game
             worst = max(
                 range(n), key=lambda i: (game.beliefs[i] <= F(1, n), i)
             )
             rewards = tuple(
                 F(1) if i == worst else F(0) for i in range(n)
             )
-            return impossibility.NBoxGame(
-                beliefs=game.beliefs, target_index=worst, rewards=rewards
-            )
+            object.__setattr__(game, "target_index", worst)
+            object.__setattr__(game, "rewards", rewards)
+            return game
 
         monkeypatch.setattr(
             impossibility, "build_adversarial_game", last_instead_of_first
         )
         results = run_all(models=30)
-        assert not all_ok(results)
+        failed = [r for r in results if not r.ok]
+        assert [r.name for r in failed] == ["impossibility"]
+        assert failed[0].detail.startswith("AssertionError")
 
     def test_failures_do_not_raise(self, monkeypatch):
         def broken(*args, **kwargs):
