@@ -11,10 +11,27 @@ the coins. One vectorized numpy kernel, kernels.count_cells_numpy,
 tallies each chunk, with one guide table built per simulate call.
 
 A one-point prior never uses row 0, so simulate does not draw it.
-Philox is counter-based (Salmon et al., SC'11): advancing the counter
-by m // 4 skips 4 * (m // 4) doubles exactly, and the m % 4 left over
-are drawn into the end of row 0. Rows 1 and 2 get the very doubles a
-full draw gives them, so the tally does not move.
+Philox is counter-based (Salmon et al., SC'11) and makes four doubles
+per counter step: advancing the counter by m // 4 skips 4 * (m // 4)
+doubles exactly, and the m % 4 left over are drawn into the end of row
+0. Rows 1 and 2 get the very doubles a full draw gives them, so the
+tally does not move.
+
+A chunk of at least 2 * MIN_PART_WIDTH samples is drawn and counted in
+pieces that run at once, one per usable CPU (at most one per
+MIN_PART_WIDTH samples of the chunk), in the one shared buffer. The
+draw cuts the chunk's stream range [start, 3m) at multiples of 4, where
+start is the row-0 skip above (0 for two or more points), and piece i
+draws its range with its own generator of the same key, advanced to
+the range's first double. The count cuts the m columns, and each piece
+tallies its columns into its own int array; the arrays are summed at
+the end. Every piece writes its own slice, the doubles are the ones a
+single draw gives, and integer sums do not depend on their order, so
+the tally is bit-identical to a single piece's for any number of
+pieces. The calling thread runs the first piece of each phase and a
+thread pool the rest; a narrower chunk, or a process with one usable
+CPU, runs as a single piece on the calling thread, and a call whose
+chunks are all that narrow starts no pool.
 
 simulate ends at the tally; compare_to_exact alone turns counts into
 estimates. Within a decision branch the payout takes only two values
@@ -28,6 +45,7 @@ plug-in one, which is 0 whenever phat is 0 or 1.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +57,10 @@ from .kernels import count_cells_numpy, guide_table
 DEFAULT_CHUNK_SIZE = 1 << 18
 # a chunk holds 3 float64 uniforms per sample: about 100 MB at this size
 MAX_CHUNK_SIZE = 1 << 22
+# a chunk is drawn and counted in up to one piece per usable CPU, each
+# at least this many samples wide; a narrower chunk runs in one piece.
+# Only two-way splits of 2^18 were timed; this width was not measured
+MIN_PART_WIDTH = 1 << 15
 RNG_ALGORITHM = "philox4x64-10, key=(seed, chunk index)"
 
 
@@ -102,6 +124,45 @@ def _float_rewards(scenario: NewcombScenario) -> tuple[float, float]:
     return float(large), float(small)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cuts(lo: int, hi: int, pieces: int, step: int) -> list[int]:
+    """pieces + 1 bounds from lo to hi; the inner ones are lo plus a
+    multiple of step."""
+    span = hi - lo
+    return [lo + span * i // pieces // step * step for i in range(pieces)] + [hi]
+
+
+def _draw(buffer, seed: int, chunk_index: int, lo: int, hi: int) -> None:
+    """Doubles lo to hi of chunk chunk_index's stream, into buffer[lo:hi].
+
+    lo must be a multiple of 4: Philox makes four doubles per counter
+    step, so advancing the counter by lo // 4 skips exactly lo of them.
+    """
+    import numpy as np
+
+    bitgen = np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
+    # advance(0) is not free, and chunk size 1 would pay it per sample
+    if lo:
+        bitgen.advance(lo // 4)
+    np.random.Generator(bitgen).random(out=buffer[lo:hi])
+
+
+def _run(pool, fn, calls, **kwargs) -> None:
+    """fn(*args, **kwargs) for each args in calls: the first on this
+    thread, the rest on pool, which a single call never touches. Returns
+    when all are done; raises the first error."""
+    futures = [pool.submit(fn, *args, **kwargs) for args in calls[1:]]
+    fn(*calls[0], **kwargs)
+    for future in futures:
+        future.result()
+
+
 def simulate(
     scenario: NewcombScenario,
     samples: int,
@@ -160,23 +221,51 @@ def simulate(
     buffer = np.empty(3 * width, dtype=np.float64)
     one_point = len(support) == 1
     guide = None if one_point else guide_table(cum, width)
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        m = min(chunk_size, samples - done)
-        key = np.array([seed, chunk_index], dtype=np.uint64)
-        bitgen = np.random.Philox(key=key)
-        start = 0
-        if one_point:
-            # the kernel never reads row 0: skip its whole blocks of 4
-            # doubles, and draw the m % 4 left over into its end
-            bitgen.advance(m // 4)
-            start = m - m % 4
-        np.random.Generator(bitgen).random(out=buffer[start : 3 * m])
+    parts = max(1, min(_usable_cpus(), width // MIN_PART_WIDTH))
+    tallies = [counts] + [np.zeros_like(counts) for _ in range(parts - 1)]
+    pool = None
+    if parts > 1:
+        # not at module scope: importing it costs every command's start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(parts - 1)
+
+    def plan(m):
+        """A chunk of m samples as its pieces' draw ranges and kernel
+        arguments. The pieces write disjoint slices: the draws cut the
+        stream [start, 3m) at multiples of 4, and the counts cut the
+        columns, each into a tally of its own."""
+        # the kernel never reads row 0 of a one-point chunk: skip its
+        # whole blocks of 4 doubles, and draw the m % 4 left over
+        start = m - m % 4 if one_point else 0
+        pieces = max(1, min(parts, m // MIN_PART_WIDTH))
+        rows = _cuts(start, 3 * m, pieces, 4)
+        cols = _cuts(0, m, pieces, 1)
         u = buffer[: 3 * m].reshape(3, m)
-        count_cells_numpy(u, cum, omega, counts, guide=guide)
-        done += m
-        chunk_index += 1
+        return list(zip(rows, rows[1:])), [
+            (u[:, a:b], cum, omega, tally)
+            for a, b, tally in zip(cols, cols[1:], tallies)
+        ]
+
+    # every chunk but a short last one has the same pieces
+    full = plan(width)
+    try:
+        done = 0
+        chunk_index = 0
+        while done < samples:
+            m = min(chunk_size, samples - done)
+            ranges, kernel_args = full if m == width else plan(m)
+            _run(pool, _draw, [
+                (buffer, seed, chunk_index, lo, hi) for lo, hi in ranges
+            ])
+            _run(pool, count_cells_numpy, kernel_args, guide=guide)
+            done += m
+            chunk_index += 1
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    for tally in tallies[1:]:
+        counts += tally
 
     support_counts = tuple(
         tuple(tuple(int(x) for x in row) for row in cell) for cell in counts

@@ -412,20 +412,33 @@ def _check_impossibility(rng: random.Random, trials: int) -> str:
         game = impossibility.build_adversarial_game(uniform)
         _expect(game.target_index == 0)
         _expect(impossibility.bad_decision_probability(game) == 1 - Fraction(1, n))
+    # an entry of exactly 1/n ahead of a smaller one is the target: the
+    # random vectors above rarely hit that boundary of the search
+    for weights, target in (((3, 2, 1), 1), ((2, 3, 1), 0), ((8, 5, 5, 2), 1)):
+        beliefs = tuple(Fraction(w, sum(weights)) for w in weights)
+        game = impossibility.build_adversarial_game(beliefs)
+        _expect(game.target_index == target, "target not the first at 1/n")
+        _expect(
+            impossibility.bad_decision_probability(game)
+            == 1 - Fraction(1, len(beliefs))
+        )
     return f"{trials} belief vectors: pigeonhole target, bad-pick bound"
 
 
 def _check_simulation() -> str:
-    scenario = builtin_scenarios()["symmetric-tenths"]
-    report = montecarlo.simulate(scenario, samples=200_000, seed=2024)
-    again = montecarlo.simulate(scenario, samples=200_000, seed=2024)
-    _expect(report == again, "identical runs disagreed")
-    rows = montecarlo.compare_to_exact(report, scenario)
-    flagged = [row.quantity for row in rows if row.flagged]
-    _expect(not flagged, f"estimates off by >4 standard errors: {flagged}")
-    freqs = montecarlo.empirical_authority(report)
-    for (omega, _), freq in zip(scenario.prediction.support, freqs):
-        _expect(freq is not None and abs(freq - float(omega)) < 0.02)
+    # a one-point prior takes its own path: no row 0, no guide table
+    scenarios = builtin_scenarios()
+    for name in ("symmetric-tenths", "point-half"):
+        scenario = scenarios[name]
+        report = montecarlo.simulate(scenario, samples=200_000, seed=2024)
+        again = montecarlo.simulate(scenario, samples=200_000, seed=2024)
+        _expect(report == again, f"{name}: identical runs disagreed")
+        rows = montecarlo.compare_to_exact(report, scenario)
+        flagged = [row.quantity for row in rows if row.flagged]
+        _expect(not flagged, f"{name}: estimates off by >4 standard errors: {flagged}")
+        freqs = montecarlo.empirical_authority(report)
+        for (omega, _), freq in zip(scenario.prediction.support, freqs):
+            _expect(freq is not None and abs(freq - float(omega)) < 0.02)
     return "200k-sample run reproducible and within 4 SEs of exact values"
 
 

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -938,6 +939,29 @@ def test_ctrl_c_exits_130_without_traceback():
     assert b"Traceback" not in err
 
 
+def test_ctrl_c_during_simulate_exits_130_without_traceback(tmp_path):
+    # 400M samples take tens of seconds: about 1 s after the start the
+    # chunks are being drawn and counted, on every usable CPU
+    (tmp_path / "s.json").write_text(json.dumps(S1))
+    argv = [
+        sys.executable, "-m", "newcomb", "simulate", "--scenario", "s.json",
+        "--samples", "400000000", "--seed", "1",
+    ]
+    with subprocess.Popen(
+        argv, cwd=tmp_path, env=_child_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as child:
+        try:
+            time.sleep(1.0)
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=10)
+        finally:
+            child.kill()
+    assert child.returncode == EXIT_INTERRUPT, err
+    assert out == b""
+    assert b"Traceback" not in err
+
+
 # python -O strips assert statements; the battery's checks must survive it
 OPTIMIZED_VERIFY = """\
 import sys
@@ -997,6 +1021,8 @@ for argv, code in runs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == code, argv
 assert "numpy" not in sys.modules, "an exact command loaded numpy"
+# simulate imports its thread pool only when a chunk is split
+assert "concurrent.futures" not in sys.modules, "a command loaded concurrent.futures"
 assert "newcomb.montecarlo" in sys.modules and "newcomb.kernels" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "--scenario", fine, "--samples", "10", "--seed", "1"]) == 0

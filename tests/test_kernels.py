@@ -216,3 +216,28 @@ class TestExactness:
         oracle.count_cells_loop(u, cum, omega, reference)
         assert (counts == reference).all()
         assert counts[1].sum() >= m * 9 // 10
+
+    def test_fallback_share_on_a_300_point_chunk(self, monkeypatch):
+        # pins how many samples the guide table sends to searchsorted on
+        # one fixed 2^18 chunk: the tally cannot show a table that stops
+        # working, only this count can (all 2^18 for guide[u0 // k])
+        m = 1 << 18
+        cum = cum_from_weights(range(1, 301))
+        omega = np.linspace(0.0, 1.0, 300)
+        u, cum, omega, counts = make_inputs(m, seed=11, cum=cum, omega=omega)
+        guide = guide_table(cum, m)
+        assert len(guide) == 1 << 14
+        searched = []
+        honest = np.searchsorted
+
+        def spy(a, v, *args, **kwargs):
+            searched.append(np.size(v))
+            return honest(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        count_cells_numpy(u, cum, omega, counts, guide=guide)
+        monkeypatch.undo()
+        # 0.92% of the chunk, near the 300 / (2 * 2^14) a cut point's
+        # bucket share predicts
+        assert searched == [2420]
+        assert counts.sum() == m

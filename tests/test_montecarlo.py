@@ -1,4 +1,8 @@
+import hashlib
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +25,108 @@ from newcomb.errors import (
 from newcomb.montecarlo import MAX_CHUNK_SIZE, RNG_ALGORITHM
 
 F = Fraction
+
+
+# (support, samples, seed, chunk_size or None for the default, tally)
+GOLDEN = [
+    # 2 points, short tail chunk
+    (
+        ((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))),
+        10_001, 3, 4096,
+        (((3991, 481), (469, 33)), ((48, 388), (464, 4127))),
+    ),
+    # 2 points, default chunk size, short tail chunk
+    (
+        ((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))),
+        300_000, 5, None,
+        (
+            ((121774, 13515), (13357, 1510)),
+            ((1500, 13552), (13415, 121377)),
+        ),
+    ),
+    # 1 point
+    (
+        ((F(1, 2), F(1)),),
+        5_000, 1, 1024,
+        (((1250, 1226), (1255, 1269)),),
+    ),
+    # 3 points including the certainty points, largest seed
+    (
+        ((F(0), F(1, 4)), (F(1, 2), F(3, 8)), (F(1), F(3, 8))),
+        20_000, 2**64 - 1, 3000,
+        (
+            ((5026, 0), (0, 0)),
+            ((1895, 1860), (1930, 1879)),
+            ((0, 0), (0, 7410)),
+        ),
+    ),
+    # two full chunks and a 3-sample tail through one draw buffer
+    (
+        ((F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(5, 6), F(5, 12))),
+        2_003, 17, 1000,
+        (
+            ((503, 0), (0, 0)),
+            ((274, 139), (158, 73)),
+            ((19, 122), (121, 594)),
+        ),
+    ),
+    # 1 point, chunks of 1: each draws 3 doubles and skips none
+    (
+        ((F(1, 3), F(1)),),
+        101, 9, 1,
+        (((38, 31), (27, 5)),),
+    ),
+    # 1 point, chunks of 4096 (row 0 skipped in whole blocks) and
+    # a tail of 1810, 2 mod 4
+    (
+        ((F(1, 3), F(1)),),
+        10_002, 4, 4096,
+        (((4478, 2242), (2186, 1096)),),
+    ),
+    # 1 point, default chunk size, a tail of 37859, 3 mod 4
+    (
+        ((F(1, 3), F(1)),),
+        300_003, 2**63 + 1, None,
+        (((133707, 66731), (66369, 33196)),),
+    ),
+    # 2 points, chunks of 1
+    (
+        ((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))),
+        2_003, 8, 1,
+        (((842, 110), (97, 6)), ((15, 80), (83, 770))),
+    ),
+    # 1 point, default chunk size, a tail of 98307, 3 mod 4, wide enough
+    # to be drawn and counted in three pieces
+    (
+        ((F(1, 3), F(1)),),
+        360_451, 6, None,
+        (((160228, 80498), (79575, 40150)),),
+    ),
+]
+
+
+# 300 points, point d at omega d/299: each tally is pinned by its summed
+# cells and a digest of every count in support order
+SUPPORT_300 = tuple((F(d, 299), F(1, 300)) for d in range(300))
+GOLDEN_300 = [
+    # two chunks of the default size, split, and a tail of 75715, 3 mod 4
+    (600_003, 21, None, ((200296, 99365), (99719, 200623)), "350e0ccf9957455d"),
+    (10_003, 22, 4096, ((3354, 1676), (1707, 3266)), "356b3fd0f92a3aa8"),
+    (2_002, 23, 1, ((668, 350), (342, 642)), "53a86acfa0cae256"),
+]
+
+
+def digest(report):
+    flat = ",".join(
+        str(x) for cell in report.support_counts for row in cell for x in row
+    )
+    return hashlib.sha256(flat.encode()).hexdigest()[:16]
+
+
+def run_golden(support, samples, seed, chunk_size):
+    scenario = NewcombScenario(PredictionModel(support), F(1000), F(1000000))
+    kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+    return simulate(scenario, samples=samples, seed=seed, **kwargs)
 
 
 class TestValidation:
@@ -69,78 +175,12 @@ class TestDeterminism:
         assert a == b
         assert a.samples == 10_001
 
-    @pytest.mark.parametrize(
-        "support, samples, seed, chunk_size, expected",
-        [
-            # 2 points, short tail chunk
-            (
-                ((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))),
-                10_001, 3, 4096,
-                (((3991, 481), (469, 33)), ((48, 388), (464, 4127))),
-            ),
-            # 2 points, default chunk size, short tail chunk
-            (
-                ((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))),
-                300_000, 5, None,
-                (
-                    ((121774, 13515), (13357, 1510)),
-                    ((1500, 13552), (13415, 121377)),
-                ),
-            ),
-            # 1 point
-            (
-                ((F(1, 2), F(1)),),
-                5_000, 1, 1024,
-                (((1250, 1226), (1255, 1269)),),
-            ),
-            # 3 points including the certainty points, largest seed
-            (
-                ((F(0), F(1, 4)), (F(1, 2), F(3, 8)), (F(1), F(3, 8))),
-                20_000, 2**64 - 1, 3000,
-                (
-                    ((5026, 0), (0, 0)),
-                    ((1895, 1860), (1930, 1879)),
-                    ((0, 0), (0, 7410)),
-                ),
-            ),
-            # two full chunks and a 3-sample tail through one draw buffer
-            (
-                ((F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(5, 6), F(5, 12))),
-                2_003, 17, 1000,
-                (
-                    ((503, 0), (0, 0)),
-                    ((274, 139), (158, 73)),
-                    ((19, 122), (121, 594)),
-                ),
-            ),
-            # 1 point, chunks of 1: each draws 3 doubles and skips none
-            (
-                ((F(1, 3), F(1)),),
-                101, 9, 1,
-                (((38, 31), (27, 5)),),
-            ),
-            # 1 point, chunks of 4096 (row 0 skipped in whole blocks) and
-            # a tail of 1810, 2 mod 4
-            (
-                ((F(1, 3), F(1)),),
-                10_002, 4, 4096,
-                (((4478, 2242), (2186, 1096)),),
-            ),
-            # 1 point, default chunk size, a tail of 37859, 3 mod 4
-            (
-                ((F(1, 3), F(1)),),
-                300_003, 2**63 + 1, None,
-                (((133707, 66731), (66369, 33196)),),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("support, samples, seed, chunk_size, expected", GOLDEN)
     def test_golden_tally(self, support, samples, seed, chunk_size, expected):
         # pins the (samples, seed, chunk_size) -> tally contract: any
         # change to the Philox keying, the chunking or the counting kernel
         # that alters a single count fails here
-        scenario = NewcombScenario(PredictionModel(support), F(1000), F(1000000))
-        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-        report = simulate(scenario, samples=samples, seed=seed, **kwargs)
+        report = run_golden(support, samples, seed, chunk_size)
         assert report.support_counts == expected
 
     @pytest.mark.parametrize("m", [*range(1, 10), 4099])
@@ -158,8 +198,11 @@ class TestDeterminism:
 class TestKernelCalls:
     """How simulate calls the kernel, which perfbench's tracing relies on.
 
-    perfbench/tracing.py counts one kernels.count span per chunk and
-    unpacks (u, cum, omega, counts) from the positional arguments.
+    perfbench/tracing.py counts one kernels.count span per kernel call
+    and unpacks (u, cum, omega, counts) from the positional arguments.
+    A chunk narrower than 2^16 makes one call; a wider one makes one per
+    piece (TestSplit), so the traced montecarlo.chunks counts pieces
+    until the tracer keeps a span stack per thread (ROADMAP item 1).
     """
 
     @pytest.mark.parametrize("points", [1, 2, 300])
@@ -185,6 +228,154 @@ class TestKernelCalls:
             assert isinstance(u, np.ndarray) and u.shape == (3, m)
         monkeypatch.undo()
         assert simulate(scenario, samples=10_003, seed=5, chunk_size=4096) == report
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs simulate sees as usable."""
+
+    def force(n):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: n)
+
+    return force
+
+
+class TestSplit:
+    """A chunk drawn and counted in pieces on several threads.
+
+    The pieces cut the chunk's stream at multiples of 4 doubles and its
+    columns anywhere; the tally must be the one a single piece gives.
+    """
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("support, samples, seed, chunk_size, expected", GOLDEN)
+    def test_golden_tally_at_any_part_count(
+        self, parts, support, samples, seed, chunk_size, expected, cpus
+    ):
+        cpus(parts)
+        report = run_golden(support, samples, seed, chunk_size)
+        assert report.support_counts == expected
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("samples, seed, chunk_size, cells, expected", GOLDEN_300)
+    def test_300_point_tally_at_any_part_count(
+        self, parts, samples, seed, chunk_size, cells, expected, cpus
+    ):
+        cpus(parts)
+        report = run_golden(SUPPORT_300, samples, seed, chunk_size)
+        assert report.cell_counts == cells
+        assert digest(report) == expected
+
+    @pytest.mark.parametrize("points", [1, 2, 300])
+    @pytest.mark.parametrize("samples", range(4096, 4100))
+    def test_pieces_of_any_width_give_the_same_tally(
+        self, points, samples, cpus, monkeypatch
+    ):
+        # pieces as narrow as one sample: chunks of 1365 (1 mod 4) and a
+        # tail of 1 to 4 samples, where some draw pieces are empty
+        support = tuple((F(d, points), F(1, points)) for d in range(points))
+        scenario = NewcombScenario(PredictionModel(support), F(1), F(2))
+        cpus(1)
+        whole = simulate(scenario, samples=samples, seed=7, chunk_size=1365)
+        cpus(3)
+        monkeypatch.setattr(montecarlo, "MIN_PART_WIDTH", 1)
+        assert simulate(scenario, samples=samples, seed=7, chunk_size=1365) == whole
+
+    @pytest.mark.parametrize("points", [1, 300])
+    def test_more_threads_than_cpus_switching_fast(self, points, cpus, monkeypatch):
+        # eight pieces per chunk, more than there are CPUs, and a thread
+        # switch every microsecond: a piece that wrote outside its slice,
+        # or a tally update lost between threads, would move a count
+        support = tuple((F(d, points), F(1, points)) for d in range(points))
+        scenario = NewcombScenario(PredictionModel(support), F(1), F(2))
+        cpus(1)
+        whole = simulate(scenario, samples=50_001, seed=3, chunk_size=4099)
+        cpus(8)
+        monkeypatch.setattr(montecarlo, "MIN_PART_WIDTH", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = simulate(scenario, samples=50_001, seed=3, chunk_size=4099)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == whole
+
+    def test_part_width_is_pinned(self):
+        # a literal, as for the chunk cap: chunks narrower than 2^16 run
+        # in one piece, so chunk sizes 1 and 4096 never start a pool
+        assert montecarlo.MIN_PART_WIDTH == 32768
+
+    def test_narrow_chunks_run_in_one_piece(self, cpus, monkeypatch):
+        cpus(4)
+        support = ((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2)))
+        scenario = NewcombScenario(PredictionModel(support), F(1), F(2))
+        honest = montecarlo.count_cells_numpy
+        shapes = []
+        tallies = []
+
+        def recording(*args, **kwargs):
+            assert len(args) == 4 and sorted(kwargs) == ["guide"]
+            shapes.append(args[0].shape)
+            tallies.append(id(args[3]))
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "count_cells_numpy", recording)
+        simulate(scenario, samples=2 * 65535, seed=5, chunk_size=65535)
+        assert shapes == [(3, 65535)] * 2
+        shapes.clear()
+        tallies.clear()
+        # 2^16 is two pieces of 2^15 however many CPUs there are, and a
+        # tail chunk narrower than 2^16 is one piece
+        simulate(scenario, samples=65536 + 40000, seed=5, chunk_size=65536)
+        assert shapes == [(3, 32768)] * 2 + [(3, 40000)]
+        # the pieces of a chunk count at once, so each into its own tally
+        assert tallies[0] != tallies[1]
+
+    def test_one_point_draws_skip_row_zero(self, cpus, monkeypatch):
+        # the stream ranges drawn, [lo, hi) of 3m doubles per chunk: row 0
+        # is skipped down to its last m % 4 doubles, in one piece or two
+        scenario = NewcombScenario(PredictionModel(((F(1, 3), F(1)),)), F(1), F(2))
+        honest = montecarlo._draw
+        drawn = []
+
+        def recording(buffer, seed, chunk_index, lo, hi):
+            drawn.append((chunk_index, lo, hi))
+            honest(buffer, seed, chunk_index, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "_draw", recording)
+        cpus(2)
+        simulate(scenario, samples=10_002, seed=4, chunk_size=4096)
+        assert drawn == [(0, 4096, 12288), (1, 4096, 12288), (2, 1808, 5430)]
+        drawn.clear()
+        simulate(scenario, samples=65536 + 3, seed=4, chunk_size=65536)
+        assert sorted(drawn) == [(0, 65536, 131072), (0, 131072, 196608), (1, 0, 9)]
+
+    def test_threads_end_with_the_call(self, cpus, symmetric_tenths):
+        cpus(3)
+        before = threading.active_count()
+        simulate(symmetric_tenths, samples=300_000, seed=1)
+        assert threading.active_count() == before
+
+    def test_error_in_a_worker_propagates(self, cpus, symmetric_tenths, monkeypatch):
+        cpus(2)
+        honest = montecarlo.count_cells_numpy
+
+        def broken(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("kernel failed in a worker")
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "count_cells_numpy", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="kernel failed in a worker"):
+            simulate(symmetric_tenths, samples=300_000, seed=1)
+        assert threading.active_count() == before
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert montecarlo._usable_cpus() == (os.cpu_count() or 1)
 
 
 class TestReport:

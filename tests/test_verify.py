@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from newcomb import CheckResult, all_ok, run_all
-from newcomb import core, impossibility, refinement
+from newcomb import core, impossibility, montecarlo, refinement
 from newcomb.core import Decision, JointAtom, PreferenceLabel
 from newcomb.dist import FiniteDist
 from newcomb.verify import (
@@ -18,6 +18,7 @@ from newcomb.verify import (
     _check_posterior_routes,
     _check_preference_threshold,
     _check_refinement,
+    _check_simulation,
     builtin_scenarios,
     random_beliefs,
     random_prediction_model,
@@ -137,6 +138,21 @@ def _always_box_one(honest):
     return lambda game: 0
 
 
+def _strict_target_search(honest):
+    # "< 1/n" where the search needs "<= 1/n", falling back to box 0:
+    # only an entry of exactly 1/n ahead of a smaller one tells them apart
+    def build_adversarial_game(beliefs):
+        game = honest(beliefs)
+        bound = F(1, game.n)
+        target = next((i for i, pi in enumerate(game.beliefs) if pi < bound), 0)
+        rewards = tuple(F(1 if i == target else 0) for i in range(game.n))
+        object.__setattr__(game, "target_index", target)
+        object.__setattr__(game, "rewards", rewards)
+        return game
+
+    return build_adversarial_game
+
+
 # one hand-written mutant per row, each caught by its own randomised check
 MUTANTS = [
     pytest.param(_check_distribution_laws, core, "build_joint",
@@ -159,6 +175,9 @@ MUTANTS = [
                  _raised_bound, 200, id="omniscience-bound"),
     pytest.param(_check_impossibility, impossibility, "optimal_choice",
                  _always_box_one, 20, id="impossibility"),
+    # 10 trials, as verify --models 1 runs
+    pytest.param(_check_impossibility, impossibility, "build_adversarial_game",
+                 _strict_target_search, 10, id="impossibility-boundary"),
 ]
 
 
@@ -263,6 +282,21 @@ class TestBattery:
         check(random.Random(4), trials)
         # one joint answers both decisions
         assert len(joint_builds) == trials
+
+    def test_simulation_check_samples_a_one_point_prior(self, monkeypatch):
+        # the box coin reads the decision coin's row, on the one-point
+        # path only: symmetric-tenths cannot see it, point-half must
+        honest = montecarlo.count_cells_numpy
+
+        def box_follows_decision(u, cum, omega, counts, *, guide):
+            if len(cum) == 1:
+                u = u.copy()
+                u[2] = u[1]
+            honest(u, cum, omega, counts, guide=guide)
+
+        monkeypatch.setattr(montecarlo, "count_cells_numpy", box_follows_decision)
+        with pytest.raises(AssertionError, match="^point-half: estimates off"):
+            _check_simulation()
 
     @pytest.mark.parametrize("check, module, name, mutant, trials", MUTANTS)
     def test_mutant_is_caught(self, check, module, name, mutant, trials, monkeypatch):
