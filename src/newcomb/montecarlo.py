@@ -10,28 +10,23 @@ is 3m doubles of that stream: row 0 picks the point, rows 1 and 2 flip
 the coins. One vectorized numpy kernel, kernels.count_cells_numpy,
 tallies each chunk, with one guide table built per simulate call.
 
-A one-point prior never uses row 0, so simulate does not draw it.
-Philox is counter-based (Salmon et al., SC'11) and makes four doubles
-per counter step: advancing the counter by m // 4 skips 4 * (m // 4)
-doubles exactly, and the m % 4 left over are drawn into the end of row
-0. Rows 1 and 2 get the very doubles a full draw gives them, so the
-tally does not move.
-
-A chunk of at least 2 * MIN_PART_WIDTH samples is drawn and counted in
-pieces that run at once, one per usable CPU (at most one per
-MIN_PART_WIDTH samples of the chunk), in the one shared buffer. The
-draw cuts the chunk's stream range [start, 3m) at multiples of 4, where
-start is the row-0 skip above (0 for two or more points), and piece i
-draws its range with its own generator of the same key, advanced to
-the range's first double. The count cuts the m columns, and each piece
-tallies its columns into its own int array; the arrays are summed at
-the end. Every piece writes its own slice, the doubles are the ones a
-single draw gives, and integer sums do not depend on their order, so
-the tally is bit-identical to a single piece's for any number of
-pieces. The calling thread runs the first piece of each phase and a
-thread pool the rest; a narrower chunk, or a process with one usable
-CPU, runs as a single piece on the calling thread, and a call whose
-chunks are all that narrow starts no pool.
+A chunk is drawn and counted in pieces that run at once, one per
+usable CPU and at most one per MIN_PART_WIDTH samples (a narrower chunk,
+or a process with one usable CPU, is one piece); the calling thread runs
+the first piece and a thread pool the rest. A piece takes columns
+[a, b) of the chunk and draws and counts them one block of at most
+MIN_PART_WIDTH columns at a time, in a scratch array of its own, so the
+kernel reads each block while it is still in cache and memory does not
+grow with the chunk. Row r of column j is double r * m + j of the
+chunk's stream. Philox is counter-based (Salmon et al., SC'11) and makes
+four doubles per counter step, so each row's generator of a piece starts
+at double pos = r * m + a: it advances the counter by pos // 4 and drops
+pos % 4 doubles. The doubles are the ones a single draw gives, each
+piece counts into an int array of its own, and integer sums do not
+depend on their order, so the tally is bit-identical for any number of
+pieces. A one-point prior never uses row 0, which is then not drawn. A
+chunk of at most one block is drawn with one generator, since its rows
+are one range of the stream.
 
 simulate ends at the tally; compare_to_exact alone turns counts into
 estimates. Within a decision branch the payout takes only two values
@@ -55,11 +50,11 @@ from .errors import InvalidModelError, InvalidScenarioError, ZeroSamplesError
 from .kernels import count_cells_numpy, guide_table
 
 DEFAULT_CHUNK_SIZE = 1 << 18
-# a chunk holds 3 float64 uniforms per sample: about 100 MB at this size
+# memory does not grow with the chunk, which is counted in blocks
 MAX_CHUNK_SIZE = 1 << 22
 # a chunk is drawn and counted in up to one piece per usable CPU, each
-# at least this many samples wide; a narrower chunk runs in one piece.
-# Only two-way splits of 2^18 were timed; this width was not measured
+# at least this many samples wide, and a piece in blocks of at most this
+# many; a narrower chunk runs in one piece, in one block
 MIN_PART_WIDTH = 1 << 15
 RNG_ALGORITHM = "philox4x64-10, key=(seed, chunk index)"
 
@@ -131,34 +126,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _cuts(lo: int, hi: int, pieces: int, step: int) -> list[int]:
-    """pieces + 1 bounds from lo to hi; the inner ones are lo plus a
-    multiple of step."""
-    span = hi - lo
-    return [lo + span * i // pieces // step * step for i in range(pieces)] + [hi]
+def _generator(key, pos: int):
+    """A generator at double pos of the Philox stream of key.
 
-
-def _draw(buffer, seed: int, chunk_index: int, lo: int, hi: int) -> None:
-    """Doubles lo to hi of chunk chunk_index's stream, into buffer[lo:hi].
-
-    lo must be a multiple of 4: Philox makes four doubles per counter
-    step, so advancing the counter by lo // 4 skips exactly lo of them.
+    Philox makes four doubles per counter step: advancing the counter by
+    pos // 4 skips 4 * (pos // 4) doubles, and pos % 4 more are drawn
+    and dropped.
     """
     import numpy as np
 
-    bitgen = np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
+    bitgen = np.random.Philox(key=key)
     # advance(0) is not free, and chunk size 1 would pay it per sample
-    if lo:
-        bitgen.advance(lo // 4)
-    np.random.Generator(bitgen).random(out=buffer[lo:hi])
+    if pos >= 4:
+        bitgen.advance(pos // 4)
+    gen = np.random.Generator(bitgen)
+    if pos % 4:
+        gen.random(pos % 4)
+    return gen
 
 
-def _run(pool, fn, calls, **kwargs) -> None:
-    """fn(*args, **kwargs) for each args in calls: the first on this
-    thread, the rest on pool, which a single call never touches. Returns
-    when all are done; raises the first error."""
-    futures = [pool.submit(fn, *args, **kwargs) for args in calls[1:]]
-    fn(*calls[0], **kwargs)
+def _run(pool, fn, calls) -> None:
+    """fn(*args) for each args in calls: the first on this thread, the
+    rest on pool, which a single call never touches. Returns when all
+    are done; raises the first error."""
+    futures = [pool.submit(fn, *args) for args in calls[1:]]
+    fn(*calls[0])
     for future in futures:
         future.result()
 
@@ -215,14 +207,15 @@ def simulate(
     omega = np.array([float(o) for o, _ in support], dtype=np.float64)
     counts = np.zeros((len(support), 2, 2), dtype=np.int64)
 
-    # one buffer for every chunk: a fresh (3, m) draw per chunk lets
-    # glibc's malloc serve later chunks from a fragmenting heap
     width = min(chunk_size, samples)
-    buffer = np.empty(3 * width, dtype=np.float64)
     one_point = len(support) == 1
     guide = None if one_point else guide_table(cum, width)
+    # the kernel never reads row 0 of a one-point chunk, so it is not drawn
+    rows = (1, 2) if one_point else (0, 1, 2)
     parts = max(1, min(_usable_cpus(), width // MIN_PART_WIDTH))
     tallies = [counts] + [np.zeros_like(counts) for _ in range(parts - 1)]
+    block = min(width, MIN_PART_WIDTH)
+    scratch = [np.empty(3 * block, dtype=np.float64) for _ in range(parts)]
     pool = None
     if parts > 1:
         # not at module scope: importing it costs every command's start-up
@@ -230,35 +223,39 @@ def simulate(
 
         pool = ThreadPoolExecutor(parts - 1)
 
-    def plan(m):
-        """A chunk of m samples as its pieces' draw ranges and kernel
-        arguments. The pieces write disjoint slices: the draws cut the
-        stream [start, 3m) at multiples of 4, and the counts cut the
-        columns, each into a tally of its own."""
-        # the kernel never reads row 0 of a one-point chunk: skip its
-        # whole blocks of 4 doubles, and draw the m % 4 left over
-        start = m - m % 4 if one_point else 0
-        pieces = max(1, min(parts, m // MIN_PART_WIDTH))
-        rows = _cuts(start, 3 * m, pieces, 4)
-        cols = _cuts(0, m, pieces, 1)
-        u = buffer[: 3 * m].reshape(3, m)
-        return list(zip(rows, rows[1:])), [
-            (u[:, a:b], cum, omega, tally)
-            for a, b, tally in zip(cols, cols[1:], tallies)
-        ]
+    def piece(chunk_index, m, a, b, buffer, tally):
+        """Draw and count columns [a, b) of chunk chunk_index, m wide,
+        one block at a time."""
+        key = np.array([seed, chunk_index], dtype=np.uint64)
+        if m <= block:
+            # from the first double used, down to a multiple of 4
+            start = rows[0] * m // 4 * 4
+            _generator(key, start).random(out=buffer[start : 3 * m])
+            u = buffer[: 3 * m].reshape(3, m)
+            count_cells_numpy(u, cum, omega, tally, guide=guide)
+            return
+        gens = [(r, _generator(key, r * m + a)) for r in rows]
+        for lo in range(a, b, block):
+            u = buffer[: 3 * min(block, b - lo)].reshape(3, -1)
+            for r, gen in gens:
+                gen.random(out=u[r])
+            count_cells_numpy(u, cum, omega, tally, guide=guide)
+
+    def pieces(m):
+        """A chunk of m samples as its pieces' columns, scratch and tally."""
+        n = max(1, min(parts, m // MIN_PART_WIDTH))
+        cols = [m * i // n for i in range(n + 1)]
+        return list(zip(cols, cols[1:], scratch, tallies))
 
     # every chunk but a short last one has the same pieces
-    full = plan(width)
+    full = pieces(width)
     try:
         done = 0
         chunk_index = 0
         while done < samples:
             m = min(chunk_size, samples - done)
-            ranges, kernel_args = full if m == width else plan(m)
-            _run(pool, _draw, [
-                (buffer, seed, chunk_index, lo, hi) for lo, hi in ranges
-            ])
-            _run(pool, count_cells_numpy, kernel_args, guide=guide)
+            spans = full if m == width else pieces(m)
+            _run(pool, piece, [(chunk_index, m, *span) for span in spans])
             done += m
             chunk_index += 1
     finally:

@@ -15,6 +15,7 @@ to produce arbitrary valid models.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,6 +426,37 @@ def _check_impossibility(rng: random.Random, trials: int) -> str:
     return f"{trials} belief vectors: pigeonhole target, bad-pick bound"
 
 
+def _expect_rows_from_tally(rows, report, scenario, name: str) -> None:
+    """Each row's estimate is scale * successes / trials + shift of the
+    tally, and its standard error scale * sqrt(pi (1 - pi) / trials) at
+    the exact proportion pi."""
+    (two_empty, two_full), (one_empty, one_full) = report.cell_counts
+    n_one, n_two = one_empty + one_full, two_empty + two_full
+    p = scenario.prediction.p
+    post_one = core.posterior_box_full(scenario, Decision.ONE_BOX)
+    post_two = core.posterior_box_full(scenario, Decision.TWO_BOX)
+    large, small = float(scenario.large_reward), float(scenario.small_reward)
+    # quantity: (successes, trials, scale, shift, pi)
+    spec = {
+        "p": (n_one, report.samples, 1, 0, p),
+        "prior_box_full": (one_full + two_full, report.samples, 1, 0, p),
+        "posterior_full_onebox": (one_full, n_one, 1, 0, post_one),
+        "posterior_full_twobox": (two_full, n_two, 1, 0, post_two),
+        "expected_reward_onebox": (one_full, n_one, large, 0, post_one),
+        "expected_reward_twobox": (two_full, n_two, large, small, post_two),
+    }
+    _expect([row.quantity for row in rows] == list(spec), f"{name}: {rows}")
+    for row in rows:
+        successes, trials, scale, shift, pi = spec[row.quantity]
+        estimate = scale * successes / trials + shift
+        stderr = scale * math.sqrt(float(pi * (1 - pi)) / trials)
+        _expect(
+            math.isclose(row.estimate, estimate, rel_tol=1e-12)
+            and math.isclose(row.stderr, stderr, rel_tol=1e-12),
+            f"{name}: {row.quantity} does not follow from the tally: {row}",
+        )
+
+
 def _check_simulation() -> str:
     # a one-point prior takes its own path: no row 0, no guide table
     scenarios = builtin_scenarios()
@@ -436,9 +468,24 @@ def _check_simulation() -> str:
         rows = montecarlo.compare_to_exact(report, scenario)
         flagged = [row.quantity for row in rows if row.flagged]
         _expect(not flagged, f"{name}: estimates off by >4 standard errors: {flagged}")
+        _expect_rows_from_tally(rows, report, scenario, name)
         freqs = montecarlo.empirical_authority(report)
         for (omega, _), freq in zip(scenario.prediction.support, freqs):
             _expect(freq is not None and abs(freq - float(omega)) < 0.02)
+    # power: every exact value of point-half, the last report drawn,
+    # follows its one omega, so moving omega by 2 * 4 standard errors of
+    # the smaller branch must flag every row of the same tally
+    (two_empty, two_full), (one_empty, one_full) = report.cell_counts
+    stderr = math.sqrt(0.25 / min(one_empty + one_full, two_empty + two_full))
+    omega = Fraction(1, 2) + Fraction(math.ceil(8 * stderr * 10**6), 10**6)
+    moved = NewcombScenario(
+        prediction=PredictionModel(((omega, Fraction(1)),)),
+        small_reward=scenario.small_reward,
+        large_reward=scenario.large_reward,
+    )
+    rows = montecarlo.compare_to_exact(report, moved)
+    missed = [row.quantity for row in rows if not row.flagged]
+    _expect(not missed, f"point-half: moved exact values not flagged: {missed}")
     return "200k-sample run reproducible and within 4 SEs of exact values"
 
 

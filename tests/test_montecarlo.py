@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,18 @@ GOLDEN = [
         360_451, 6, None,
         (((160228, 80498), (79575, 40150)),),
     ),
+    # chunks of 65537 and 65539, each counted in blocks: rows 1 and 2
+    # start at doubles 1 and 2 mod 4, then 3 and 2 mod 4
+    (
+        ((F(1, 3), F(1)),),
+        131_076, 12, 65_537,
+        (((58183, 29244), (28852, 14797)),),
+    ),
+    (
+        ((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))),
+        131_076, 13, 65_537,
+        (((52825, 5810), (5994, 633)), ((643, 5945), (5820, 53406))),
+    ),
 ]
 
 
@@ -183,16 +196,18 @@ class TestDeterminism:
         report = run_golden(support, samples, seed, chunk_size)
         assert report.support_counts == expected
 
-    @pytest.mark.parametrize("m", [*range(1, 10), 4099])
+    @pytest.mark.parametrize("m", [*range(10), 4099, 65537])
     def test_philox_advance_skips_whole_blocks_of_four(self, m):
-        # simulate skips row 0 of a one-point chunk this way: advance(m // 4)
-        # passes 4 * (m // 4) doubles, and m % 4 more are drawn and unused
+        # simulate starts each row's generator at double m of the chunk's
+        # stream this way: advance(m // 4) passes 4 * (m // 4) doubles,
+        # and m % 4 more are drawn and dropped
         key = np.array([2**63 + 1, 7], dtype=np.uint64)
-        full = np.random.Generator(np.random.Philox(key=key)).random(3 * m)
+        full = np.random.Generator(np.random.Philox(key=key)).random(m + 9)
         bitgen = np.random.Philox(key=key)
         bitgen.advance(m // 4)
-        rest = np.random.Generator(bitgen).random(m % 4 + 2 * m)
+        rest = np.random.Generator(bitgen).random(m % 4 + 9)
         assert np.array_equal(rest[m % 4 :], full[m:])
+        assert np.array_equal(montecarlo._generator(key, m).random(9), full[m:])
 
 
 class TestKernelCalls:
@@ -200,9 +215,10 @@ class TestKernelCalls:
 
     perfbench/tracing.py counts one kernels.count span per kernel call
     and unpacks (u, cum, omega, counts) from the positional arguments.
-    A chunk narrower than 2^16 makes one call; a wider one makes one per
-    piece (TestSplit), so the traced montecarlo.chunks counts pieces
-    until the tracer keeps a span stack per thread (ROADMAP item 1).
+    Every call gets one block of at most 2^15 columns: a chunk that
+    narrow is one call, and a wider one a call per block of each of its
+    pieces (TestSplit). So the traced montecarlo.chunks counts blocks,
+    not chunks.
     """
 
     @pytest.mark.parametrize("points", [1, 2, 300])
@@ -229,6 +245,45 @@ class TestKernelCalls:
         monkeypatch.undo()
         assert simulate(scenario, samples=10_003, seed=5, chunk_size=4096) == report
 
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_wide_chunks_are_counted_in_blocks(self, points, cpus, monkeypatch):
+        # a chunk of 65537 in two pieces, [0, 32768) and [32768, 65537),
+        # then a tail of 34466 in one; each row of a piece has its own
+        # generator, started at double row * m + a of the chunk's stream
+        support = tuple((F(i, points), F(1, points)) for i in range(points))
+        scenario = NewcombScenario(PredictionModel(support), F(1), F(2))
+        blocks = []
+        starts = []
+        honest_kernel = montecarlo.count_cells_numpy
+        honest_generator = montecarlo._generator
+
+        def kernel(u, cum, omega, counts, *, guide):
+            blocks.append((id(counts), u.shape[1]))
+            honest_kernel(u, cum, omega, counts, guide=guide)
+
+        def generator(key, pos):
+            starts.append((int(key[1]), pos))
+            return honest_generator(key, pos)
+
+        monkeypatch.setattr(montecarlo, "count_cells_numpy", kernel)
+        monkeypatch.setattr(montecarlo, "_generator", generator)
+        cpus(2)
+        simulate(scenario, samples=100_003, seed=5, chunk_size=65_537)
+        rows = (1, 2) if points == 1 else (0, 1, 2)
+        assert sorted(starts) == sorted(
+            [(0, r * 65537 + a) for r in rows for a in (0, 32768)]
+            + [(1, r * 34466) for r in rows]
+        )
+        # the first piece of each chunk counts into one tally, the second
+        # into its own
+        widths = {}
+        for tally, w in blocks:
+            widths.setdefault(tally, []).append(w)
+        assert sorted(sorted(ws) for ws in widths.values()) == [
+            [1, 32768],
+            [1698, 32768, 32768],
+        ]
+
 
 @pytest.fixture
 def cpus(monkeypatch):
@@ -243,8 +298,9 @@ def cpus(monkeypatch):
 class TestSplit:
     """A chunk drawn and counted in pieces on several threads.
 
-    The pieces cut the chunk's stream at multiples of 4 doubles and its
-    columns anywhere; the tally must be the one a single piece gives.
+    The pieces cut the chunk's columns anywhere, and each row of a piece
+    draws from its own generator, started at that column's double of the
+    chunk's stream; the tally must be the one a single piece gives.
     """
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -271,8 +327,9 @@ class TestSplit:
     def test_pieces_of_any_width_give_the_same_tally(
         self, points, samples, cpus, monkeypatch
     ):
-        # pieces as narrow as one sample: chunks of 1365 (1 mod 4) and a
-        # tail of 1 to 4 samples, where some draw pieces are empty
+        # pieces and blocks as narrow as one sample, so rows start at
+        # every position mod 4: chunks of 1365 (1 mod 4) and a tail of 1
+        # to 4 samples
         support = tuple((F(d, points), F(1, points)) for d in range(points))
         scenario = NewcombScenario(PredictionModel(support), F(1), F(2))
         cpus(1)
@@ -291,7 +348,8 @@ class TestSplit:
         cpus(1)
         whole = simulate(scenario, samples=50_001, seed=3, chunk_size=4099)
         cpus(8)
-        monkeypatch.setattr(montecarlo, "MIN_PART_WIDTH", 1)
+        # pieces of about 512 columns, counted in blocks of 100
+        monkeypatch.setattr(montecarlo, "MIN_PART_WIDTH", 100)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -310,45 +368,50 @@ class TestSplit:
         support = ((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2)))
         scenario = NewcombScenario(PredictionModel(support), F(1), F(2))
         honest = montecarlo.count_cells_numpy
-        shapes = []
-        tallies = []
+        blocks = []
 
         def recording(*args, **kwargs):
             assert len(args) == 4 and sorted(kwargs) == ["guide"]
-            shapes.append(args[0].shape)
-            tallies.append(id(args[3]))
+            blocks.append((args[0].shape, id(args[3])))
             return honest(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "count_cells_numpy", recording)
         simulate(scenario, samples=2 * 65535, seed=5, chunk_size=65535)
-        assert shapes == [(3, 65535)] * 2
-        shapes.clear()
-        tallies.clear()
+        # one piece, counted in two blocks, all into one tally
+        assert [shape for shape, _ in blocks] == [(3, 32768), (3, 32767)] * 2
+        assert len({tally for _, tally in blocks}) == 1
+        blocks.clear()
         # 2^16 is two pieces of 2^15 however many CPUs there are, and a
         # tail chunk narrower than 2^16 is one piece
         simulate(scenario, samples=65536 + 40000, seed=5, chunk_size=65536)
-        assert shapes == [(3, 32768)] * 2 + [(3, 40000)]
+        assert sorted(shape for shape, _ in blocks) == [
+            (3, 7232), (3, 32768), (3, 32768), (3, 32768)
+        ]
         # the pieces of a chunk count at once, so each into its own tally
-        assert tallies[0] != tallies[1]
+        assert len({tally for _, tally in blocks[:2]}) == 2
 
     def test_one_point_draws_skip_row_zero(self, cpus, monkeypatch):
-        # the stream ranges drawn, [lo, hi) of 3m doubles per chunk: row 0
-        # is skipped down to its last m % 4 doubles, in one piece or two
+        # the stream position, of the chunk's 3m doubles, where each
+        # generator starts: a chunk of at most 2^15 is drawn from one
+        # generator, skipping row 0 down to its last m % 4 doubles; a
+        # wider one has a generator for each of rows 1 and 2 per piece
         scenario = NewcombScenario(PredictionModel(((F(1, 3), F(1)),)), F(1), F(2))
-        honest = montecarlo._draw
-        drawn = []
+        honest = montecarlo._generator
+        starts = []
 
-        def recording(buffer, seed, chunk_index, lo, hi):
-            drawn.append((chunk_index, lo, hi))
-            honest(buffer, seed, chunk_index, lo, hi)
+        def recording(key, pos):
+            starts.append((int(key[1]), pos))
+            return honest(key, pos)
 
-        monkeypatch.setattr(montecarlo, "_draw", recording)
+        monkeypatch.setattr(montecarlo, "_generator", recording)
         cpus(2)
         simulate(scenario, samples=10_002, seed=4, chunk_size=4096)
-        assert drawn == [(0, 4096, 12288), (1, 4096, 12288), (2, 1808, 5430)]
-        drawn.clear()
+        assert starts == [(0, 4096), (1, 4096), (2, 1808)]
+        starts.clear()
         simulate(scenario, samples=65536 + 3, seed=4, chunk_size=65536)
-        assert sorted(drawn) == [(0, 65536, 131072), (0, 131072, 196608), (1, 0, 9)]
+        assert sorted(starts) == [
+            (0, 65536), (0, 98304), (0, 131072), (0, 163840), (1, 0)
+        ]
 
     def test_threads_end_with_the_call(self, cpus, symmetric_tenths):
         cpus(3)
@@ -376,6 +439,22 @@ class TestSplit:
             assert montecarlo._usable_cpus() == len(os.sched_getaffinity(0))
             monkeypatch.delattr(os, "sched_getaffinity")
         assert montecarlo._usable_cpus() == (os.cpu_count() or 1)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("points", [1, 300])
+    def test_a_chunk_at_the_cap_is_drawn_in_blocks(self, points):
+        # numpy reports its buffers to tracemalloc: a chunk of 2^22 drawn
+        # at once would hold 3 * 2^22 doubles, about 100 MB
+        support = tuple((F(d, points), F(1, points)) for d in range(points))
+        scenario = NewcombScenario(PredictionModel(support), F(1), F(2))
+        tracemalloc.start()
+        try:
+            simulate(scenario, samples=MAX_CHUNK_SIZE, seed=1, chunk_size=MAX_CHUNK_SIZE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestReport:

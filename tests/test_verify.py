@@ -153,7 +153,54 @@ def _strict_target_search(honest):
     return build_adversarial_game
 
 
-# one hand-written mutant per row, each caught by its own randomised check
+def _doubled_stderr(honest):
+    # stderr = 2 * scale * sqrt(...): every deviation halves, so nothing
+    # within 8 standard errors flags
+    def compare_to_exact(report, scenario, *, flag_threshold=4.0):
+        return tuple(
+            row if row.stderr is None else dataclasses.replace(
+                row,
+                stderr=2 * row.stderr,
+                deviation_ses=row.deviation_ses / 2,
+                flagged=row.deviation_ses / 2 > flag_threshold,
+            )
+            for row in honest(report, scenario, flag_threshold=flag_threshold)
+        )
+
+    return compare_to_exact
+
+
+def _shift_subtracted(honest):
+    # scale * phat - shift moves only the two-box reward, by 2r: about
+    # 1.3 standard errors at 200,000 samples with r / R = 10^-3
+    def compare_to_exact(report, scenario, *, flag_threshold=4.0):
+        rows = list(honest(report, scenario, flag_threshold=flag_threshold))
+        row = rows[-1]
+        assert row.quantity == "expected_reward_twobox"
+        estimate = row.estimate - 2 * float(scenario.small_reward)
+        deviation = abs(estimate - float(row.exact)) / row.stderr
+        rows[-1] = dataclasses.replace(
+            row,
+            estimate=estimate,
+            deviation_ses=deviation,
+            flagged=deviation > flag_threshold,
+        )
+        return tuple(rows)
+
+    return compare_to_exact
+
+
+def _never_flagged(honest):
+    # a flag rule that never fires passes every honest row; only the
+    # power row's moved exact values show it
+    return lambda report, scenario, *, flag_threshold=4.0: tuple(
+        dataclasses.replace(row, flagged=False)
+        for row in honest(report, scenario, flag_threshold=flag_threshold)
+    )
+
+
+# one hand-written mutant per row, each caught by its own check; trials
+# None marks a fixed check, called without arguments
 MUTANTS = [
     pytest.param(_check_distribution_laws, core, "build_joint",
                  _flipped_two_box_coin, 200, id="distribution-laws"),
@@ -178,6 +225,12 @@ MUTANTS = [
     # 10 trials, as verify --models 1 runs
     pytest.param(_check_impossibility, impossibility, "build_adversarial_game",
                  _strict_target_search, 10, id="impossibility-boundary"),
+    pytest.param(_check_simulation, montecarlo, "compare_to_exact",
+                 _doubled_stderr, None, id="simulation-stderr"),
+    pytest.param(_check_simulation, montecarlo, "compare_to_exact",
+                 _shift_subtracted, None, id="simulation-shift"),
+    pytest.param(_check_simulation, montecarlo, "compare_to_exact",
+                 _never_flagged, None, id="simulation-power"),
 ]
 
 
@@ -304,7 +357,7 @@ class TestBattery:
         # examples do not run here
         monkeypatch.setattr(module, name, mutant(getattr(module, name)))
         with pytest.raises(AssertionError):
-            check(random.Random(1), trials)
+            check(random.Random(1), trials) if trials else check()
 
 
 class TestGenerators:
