@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import math
@@ -40,7 +39,7 @@ from .core import (
     scenario_summary,
 )
 from .errors import InvalidScenarioError, NewcombError
-from .rational import decimal_str, format_rational, parse_rational
+from .rational import decimal_str, format_ratio, format_rational, parse_rational
 from .refinement import check_delta_omniscience, coarsen, variance_decomposition
 from .impossibility import (
     bad_decision_probability,
@@ -201,7 +200,15 @@ def _sweep_rows(ps, spreads, ratios):
         raise InvalidScenarioError(
             f"grid of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows"
         )
-    ratio_cells = [format_rational(ratio) for ratio in ratios]
+    ratio_terms = [
+        (ratio.numerator, ratio.denominator, format_rational(ratio))
+        for ratio in ratios
+    ]
+    # PreferenceLabel.compare(...).value would cost about 20 times this
+    # inline choice in the per-ratio loop
+    onebox = PreferenceLabel.ONE_BOX.value
+    twobox = PreferenceLabel.TWO_BOX.value
+    indifferent = PreferenceLabel.INDIFFERENT.value
     for p in ps:
         for a in spreads:
             if a > min(p, 1 - p):
@@ -229,14 +236,28 @@ def _sweep_rows(ps, spreads, ratios):
             one = posterior_box_full(scenario, Decision.ONE_BOX)
             full_two = posterior_box_full(scenario, Decision.TWO_BOX)
             one_cell = format_rational(one)
-            for ratio, ratio_cell in zip(ratios, ratio_cells):
-                two = full_two + ratio
+            on, od = one.numerator, one.denominator
+            fn, fd = full_two.numerator, full_two.denominator
+            for rn, rd, ratio_cell in ratio_terms:
+                # E[two-box] = full_two + ratio in lowest terms as n/d, by
+                # the gcd steps of Fraction's own addition
+                g = math.gcd(fd, rd)
+                if g == 1:
+                    n, d = fn * rd + rn * fd, fd * rd
+                else:
+                    s = fd // g
+                    t = fn * (rd // g) + rn * s
+                    g2 = math.gcd(t, g)
+                    n, d = t // g2, s * (rd // g2)
+                # both denominators are positive, so cross-multiplying
+                # compares the two expectations exactly
+                left, right = on * d, n * od
                 yield (
                     *prefix,
                     ratio_cell,
-                    PreferenceLabel.compare(one, two).value,
+                    onebox if left > right else twobox if right > left else indifferent,
                     one_cell,
-                    format_rational(two),
+                    format_ratio(n, d),
                 )
 
 
@@ -245,9 +266,12 @@ def _cmd_sweep(args) -> tuple[int, str]:
     spreads = _parse_rational_list(args.spread, "--spread")
     ratios = _parse_rational_list(args.ratio, "--ratio")
     table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(SWEEP_COLUMNS)
-    writer.writerows(_sweep_rows(ps, spreads, ratios))
+    # the bytes of csv.writer's excel dialect: no cell ever needs quoting,
+    # as each is a canonical rational (-?\d+(/\d+)?) or a preference label
+    table.write(",".join(SWEEP_COLUMNS) + "\r\n")
+    table.writelines(
+        ",".join(row) + "\r\n" for row in _sweep_rows(ps, spreads, ratios)
+    )
     if args.output is None:
         return EXIT_OK, table.getvalue()
     with open(args.output, "w", newline="", encoding="utf-8") as fh:

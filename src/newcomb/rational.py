@@ -63,11 +63,21 @@ def coerce_fraction(value, what: str = "value") -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical text form: lowest terms, '/' omitted for integers.
 
-    A numerator or denominator longer than Python's int-string limit
-    raises InvalidScenarioError, as such an integer does on parsing.
+    Takes a Fraction or an int. A numerator or denominator longer than
+    Python's int-string limit raises InvalidScenarioError, as such an
+    integer does on parsing.
+    """
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_rational of num/den, given in lowest terms with den > 0.
+
+    Callers that keep a rational as a pair of ints print it here without
+    building a Fraction.
     """
     try:
-        return str(Fraction(value))
+        return f"{num}/{den}" if den != 1 else str(num)
     except ValueError as exc:
         raise InvalidScenarioError(f"exact value too long to print: {exc}") from None
 

@@ -196,6 +196,70 @@ class TestAnalyze:
         assert reloaded.scenario == load_scenario(s1_path).scenario
 
 
+_DENOMINATORS = [1, 2, 3, 4, 6, 8, 9, 12, 24]
+
+
+@st.composite
+def sweep_grids(draw):
+    """(argv, ps, spreads, ratios) of a small valid sweep grid.
+
+    Every value has a denominator from a few numbers with common factors,
+    and the ratios include thresholds of the grid, so both the reduced
+    and the unreduced additions and the ties all occur.
+    """
+
+    def rational(low, high):
+        den = draw(st.sampled_from(_DENOMINATORS))
+        return F(draw(st.integers(low * den, high * den)), den)
+
+    p_dens = draw(st.lists(st.sampled_from(_DENOMINATORS[1:]), min_size=1, max_size=3))
+    ps = [F(draw(st.integers(1, den - 1)), den) for den in p_dens]
+    widest = min(min(p, 1 - p) for p in ps)
+    spreads = [
+        widest * rational(0, 1) for _ in range(draw(st.integers(1, 3)))
+    ]
+    ratios = [rational(0, 2) for _ in range(draw(st.integers(1, 4)))]
+    thresholds = sorted(
+        {a * a / (p * (1 - p)) for p in ps for a in spreads} - {0}
+    )
+    if thresholds:
+        ratios += draw(st.lists(st.sampled_from(thresholds), max_size=2))
+    ratios = [r for r in ratios if r > 0] or [F(1)]
+    if set(ratios) & set(thresholds):
+        event("a ratio at a threshold")
+
+    def text(values):
+        # the same values, sometimes written in unreduced form
+        scale = draw(st.sampled_from([1, 1, 2, 6]))
+        return ",".join(f"{v.numerator * scale}/{v.denominator * scale}" for v in values)
+
+    argv = ["sweep", "--p", text(ps), "--spread", text(spreads), "--ratio", text(ratios)]
+    return argv, ps, spreads, ratios
+
+
+def _sweep_reference(ps, spreads, ratios):
+    """The sweep's text built with Fraction arithmetic and csv.writer."""
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(
+        ["p", "spread", "sigma2", "threshold", "r_over_R", "preference", "e_onebox", "e_twobox"]
+    )
+    for p in ps:
+        for a in spreads:
+            model = core.PredictionModel.from_weights(((p - a, 1), (p + a, 1)))
+            scenario = core.NewcombScenario(
+                prediction=model, small_reward=F(1), large_reward=F(1)
+            )
+            one = core.posterior_box_full(scenario, core.Decision.ONE_BOX)
+            full_two = core.posterior_box_full(scenario, core.Decision.TWO_BOX)
+            sigma2 = model.variance
+            for ratio in ratios:
+                two = full_two + ratio
+                pref = "onebox" if one > two else "twobox" if two > one else "indifferent"
+                writer.writerow([p, a, sigma2, sigma2 / (p * (1 - p)), ratio, pref, one, two])
+    return table.getvalue()
+
+
 class TestSweep:
     def test_csv_schema_and_content(self, tmp_path, capsys):
         out_path = tmp_path / "grid.csv"
@@ -240,6 +304,38 @@ class TestSweep:
             if row["spread"] == "0" and row["r_over_R"] == "1/1000"
         ]
         assert sure[0]["preference"] == "twobox"
+
+    def test_bytes_of_stdout_and_output_file(self, tmp_path, monkeypatch, capsys):
+        # every ratio but 1/5 shares a denominator factor with
+        # P(full | two-box); rows 3 and 8 reduce to integers, and row 6
+        # is a tie at the threshold
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--p", "1/2", "--spread", "0,1/4", "--ratio", "1/5,1/4,1/2,5/8"]
+        golden = (
+            "p,spread,sigma2,threshold,r_over_R,preference,e_onebox,e_twobox\r\n"
+            "1/2,0,0,0,1/5,twobox,1/2,7/10\r\n"
+            "1/2,0,0,0,1/4,twobox,1/2,3/4\r\n"
+            "1/2,0,0,0,1/2,twobox,1/2,1\r\n"
+            "1/2,0,0,0,5/8,twobox,1/2,9/8\r\n"
+            "1/2,1/4,1/16,1/4,1/5,onebox,5/8,23/40\r\n"
+            "1/2,1/4,1/16,1/4,1/4,indifferent,5/8,5/8\r\n"
+            "1/2,1/4,1/16,1/4,1/2,twobox,5/8,7/8\r\n"
+            "1/2,1/4,1/16,1/4,5/8,twobox,5/8,1\r\n"
+        )
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == golden
+        assert main([*argv, "--output", "grid.csv"]) == EXIT_OK
+        assert capsys.readouterr().out == "wrote 8 row(s) to grid.csv\n"
+        assert (tmp_path / "grid.csv").read_bytes() == golden.encode("ascii")
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=sweep_grids())
+    def test_rows_match_fraction_arithmetic_and_csv_writer(self, grid):
+        argv, ps, spreads, ratios = grid
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == EXIT_OK
+        assert out.getvalue() == _sweep_reference(ps, spreads, ratios)
 
     def test_stdout_when_no_output_given(self, capsys):
         code = main(
@@ -708,6 +804,17 @@ class TestHostileInputs:
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
             assert captured.out == ""
+
+    def test_sweep_cell_past_the_int_string_limit(self, capsys):
+        # every input parses, but e_twobox = 1/2**7300 + 1/3**4700 has a
+        # denominator of about 4,440 digits
+        p, ratio = f"1/{2**7300}", f"1/{3**4700}"
+        argv = ["sweep", "--p", p, "--spread", "0", "--ratio", ratio]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: exact value too long to print: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 def _texts(low, high):
